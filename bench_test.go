@@ -547,8 +547,8 @@ func perfScale2(b *testing.B, m int) (*model.Instance, model.Allocation) {
 }
 
 // BenchmarkLatencyGain measures one Eq. 17 marginal-gain evaluation
-// under the cohort-aggregated suffix query versus the per-request
-// reference walk, on an identical pre-commit state.
+// under the cohort aggregates versus the per-request reference walk,
+// on an identical pre-commit state.
 func BenchmarkLatencyGain(b *testing.B) {
 	for _, m := range []int{400, 2000} {
 		in, alloc := perfScale2(b, m)

@@ -303,10 +303,8 @@ func runMem(path string, budget time.Duration, seed uint64, maxN, maxM, instMaxM
 			fmt.Printf("aggregate-row resident bytes at N=%d: %.1fx smaller under budget\n", n, r)
 		}
 	}
-	for _, key := range []string{"SolveDeliveryAllocs/M=4000", "SolveDeliveryAllocs/M=4000/batch"} {
-		if r, ok := rep.Reductions[key]; ok {
-			fmt.Printf("%s: %.1fx fewer allocs than previous baseline\n", key, r)
-		}
+	if r, ok := rep.Reductions["SolveDeliveryAllocs/M=4000"]; ok {
+		fmt.Printf("SolveDeliveryAllocs/M=4000: %.1fx fewer allocs than previous baseline\n", r)
 	}
 	for _, p := range perfbench.InstanceScales() {
 		if r, ok := rep.Reductions[fmt.Sprintf("InstanceBytes/M=%d", p.M)]; ok {

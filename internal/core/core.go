@@ -45,21 +45,12 @@ type Options struct {
 	// summation order; used for differential tests, drift-sensitive
 	// debugging and the perf baseline.
 	NaiveInterference bool
-	// NaiveLatency switches the Phase 2 oracle from the cohort-aggregated
-	// suffix queries back to the per-request LatencyState walk. Gains
-	// agree up to floating-point summation order and the committed
-	// replica sequences are identical; used for differential tests and
-	// the Phase 2 perf baseline.
+	// NaiveLatency switches the Phase 2 oracle from the cohort
+	// aggregates (model.CohortLatencyState) back to the per-request
+	// LatencyState walk. Gains and committed replica sequences are
+	// bit-identical; used for differential tests and the Phase 2 perf
+	// baseline.
 	NaiveLatency bool
-	// CohortBatch switches Phase 2 to the Commit-batching oracle
-	// (model.BatchCohortLatencyState) and enables per-item staleness
-	// epochs in the CELF engine (placement.Options.ItemLocalGains).
-	// Gains, totals and committed replica sequences are bit-identical
-	// to the default cohort oracle; memory drops from O(requests) to
-	// O(cohorts) and deep replica budgets stop paying a per-Commit
-	// suffix rebuild. Ignored when NaiveLatency is set (the two select
-	// different oracles for the same slot).
-	CohortBatch bool
 	// AggRowBudget caps how many Phase 1 interference aggregate rows
 	// stay resident at once (0 = unlimited). Evaluations against
 	// non-resident receivers use a bit-identical per-cell fold, so the
@@ -136,32 +127,6 @@ func ReferenceOptions() Options {
 	}
 }
 
-// resolveGameOptions replaces an unset zero-value game.Options with the
-// defaults. Explicitly configured options — even all-zero ones, which
-// carry game.Options.Set — pass through verbatim. A telemetry scope is
-// not configuration: it is stripped before the zero-value comparison
-// and re-attached, so Options{Obs: sc} still resolves to the defaults.
-func resolveGameOptions(o game.Options) game.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (game.Options{}) {
-		o = game.DefaultOptions()
-	}
-	o.Obs = sc
-	return o
-}
-
-// resolvePlacementOptions is the placement.Options analogue.
-func resolvePlacementOptions(o placement.Options) placement.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (placement.Options{}) {
-		o = placement.DefaultOptions()
-	}
-	o.Obs = sc
-	return o
-}
-
 // Result carries the strategy and the instrumentation the theorems talk
 // about.
 type Result struct {
@@ -200,9 +165,17 @@ func SolvePhase1(in *model.Instance, opt Options) (model.Allocation, game.Stats)
 	if opt.DenseInstance {
 		in = in.Densified()
 	}
-	opt.Game = resolveGameOptions(opt.Game)
+	ledger, st := solvePhase1(in, opt)
+	return ledger.Alloc(), st
+}
+
+// solvePhase1 plays the game on a fresh ledger configured from opt and
+// returns the ledger at equilibrium, so Solve can read the Eq. 5 rate
+// off the same state.
+func solvePhase1(in *model.Instance, opt Options) (*model.Ledger, game.Stats) {
+	g := opt.Game.Resolved()
 	sc := scopeOf(opt)
-	opt.Game.Obs = sc
+	g.Obs = sc
 	ledger := model.NewLedger(in, model.NewAllocation(in.M()))
 	if opt.NaiveInterference {
 		ledger.SetNaiveInterference(true)
@@ -212,10 +185,10 @@ func SolvePhase1(in *model.Instance, opt Options) (model.Allocation, game.Stats)
 	}
 	adapter := &allocGame{in: in, l: ledger, tracePotential: opt.TracePotential}
 	sc.Begin("solve", "phase1", nil)
-	st := game.Run[model.Alloc](adapter, opt.Game)
+	st := game.Run[model.Alloc](adapter, g)
 	sc.End("solve", "phase1")
 	publishAggStats(sc, ledger)
-	return ledger.Alloc(), st
+	return ledger, st
 }
 
 // scopeOf resolves the solver-level telemetry scope: Options.Obs wins,
@@ -268,25 +241,13 @@ func Solve(in *model.Instance, opt Options) *Result {
 	if opt.Shards > 0 {
 		return solveSharded(in, opt)
 	}
-	opt.Game = resolveGameOptions(opt.Game)
 	sc := scopeOf(opt)
-	opt.Game.Obs = sc
 	res := &Result{}
 
 	// Phase 1 — IDDE-U game for the user allocation profile.
 	t0 := time.Now()
-	ledger := model.NewLedger(in, model.NewAllocation(in.M()))
-	if opt.NaiveInterference {
-		ledger.SetNaiveInterference(true)
-	}
-	if opt.AggRowBudget > 0 {
-		ledger.SetAggRowBudget(opt.AggRowBudget)
-	}
-	adapter := &allocGame{in: in, l: ledger, tracePotential: opt.TracePotential}
-	sc.Begin("solve", "phase1", nil)
-	res.Phase1 = game.Run[model.Alloc](adapter, opt.Game)
-	sc.End("solve", "phase1")
-	publishAggStats(sc, ledger)
+	ledger, st := solvePhase1(in, opt)
+	res.Phase1 = st
 	alloc := ledger.Alloc()
 	res.Phase1Time = time.Since(t0)
 
@@ -315,11 +276,11 @@ func Solve(in *model.Instance, opt Options) *Result {
 	return res
 }
 
-// SolveDelivery exposes Phase 2 alone for a caller-supplied allocation
-// (the CDP baseline reuses it with its own allocation rule). The naive
-// flag toggles the greedy engine only (literal re-scan vs CELF); both
-// run the cohort oracle, so their gains — not just their sequences —
-// match exactly. Use SolveDeliveryOpt for full oracle/engine control.
+// SolveDelivery exposes Phase 2 alone for a caller-supplied allocation.
+// The naive flag toggles the greedy engine only (literal re-scan vs
+// CELF); both run the cohort oracle, so their gains — not just their
+// sequences — match exactly. Use SolveDeliveryOpt for full
+// oracle/engine control.
 func SolveDelivery(in *model.Instance, alloc model.Allocation, naive bool) (*model.Delivery, placement.Result) {
 	return solveDelivery(in, alloc, Options{NaiveGreedy: naive})
 }
@@ -332,82 +293,20 @@ func SolveDeliveryOpt(in *model.Instance, alloc model.Allocation, opt Options) (
 }
 
 func solveDelivery(in *model.Instance, alloc model.Allocation, opt Options) (*model.Delivery, placement.Result) {
-	oracle := &deliveryOracle{
-		in: in,
-		d:  model.NewDelivery(in.N(), in.K()),
-	}
-	switch {
-	case opt.NaiveLatency:
-		oracle.ls = model.NewLatencyState(in, alloc)
-	case opt.CohortBatch:
-		oracle.ls = model.NewBatchCohortLatencyState(in, alloc)
-	default:
-		oracle.ls = model.NewCohortLatencyState(in, alloc)
-	}
-	// Skip items nobody requests: their gain is identically zero, so
-	// they can never be committed — no need to seed or re-scan them.
-	requested := make([]bool, in.K())
-	for _, items := range in.Wl.Requests {
-		for _, k := range items {
-			requested[k] = true
-		}
-	}
-	cands := make([]placement.Candidate, 0, in.N()*in.K())
-	for i := 0; i < in.N(); i++ {
-		for k := 0; k < in.K(); k++ {
-			if !requested[k] {
-				continue
-			}
-			cands = append(cands, placement.Candidate{Server: i, Item: k})
-		}
-	}
 	sc := scopeOf(opt)
-	sc.Begin("solve", "phase2", nil)
-	var pres placement.Result
-	if opt.NaiveGreedy {
-		pres = placement.GreedyOpt(cands, oracle, placement.Options{Obs: sc})
-	} else {
-		popt := resolvePlacementOptions(opt.Placement)
+	popt := placement.Options{Obs: sc}
+	if !opt.NaiveGreedy {
+		popt = opt.Placement.Resolved()
 		if sc != nil {
 			popt.Obs = sc
 		}
-		if opt.CohortBatch && !opt.NaiveLatency {
-			// The batch oracle's cohorts are partitioned by item, so a
-			// Commit can only move gains of its own item: per-item
-			// staleness epochs skip provably identical refreshes.
-			popt.ItemLocalGains = true
-		}
-		pres = placement.LazyGreedyOpt(cands, oracle, popt)
 	}
+	sc.Begin("solve", "phase2", nil)
+	d, pres := placement.Deliver(in, alloc, placement.DeliverySpec{
+		NaiveLatency: opt.NaiveLatency,
+		NaiveGreedy:  opt.NaiveGreedy,
+		Options:      popt,
+	})
 	sc.End("solve", "phase2")
-	return oracle.d, pres
-}
-
-// deliveryOracle adapts the incremental latency state and the delivery
-// profile to the placement engine.
-type deliveryOracle struct {
-	in *model.Instance
-	ls model.DeliveryOracle
-	d  *model.Delivery
-}
-
-func (o *deliveryOracle) Gain(c placement.Candidate) float64 {
-	return float64(o.ls.GainOf(c.Server, c.Item))
-}
-
-func (o *deliveryOracle) Cost(c placement.Candidate) float64 {
-	return float64(o.in.Wl.Items[c.Item].Size)
-}
-
-func (o *deliveryOracle) Feasible(c placement.Candidate) bool {
-	if o.d.Placed(c.Server, c.Item) {
-		return false
-	}
-	size := o.in.Wl.Items[c.Item].Size
-	return o.d.Used(c.Server)+size <= o.in.Wl.Capacity[c.Server]
-}
-
-func (o *deliveryOracle) Commit(c placement.Candidate) float64 {
-	o.d.Place(c.Server, c.Item, o.in.Wl.Items[c.Item].Size)
-	return float64(o.ls.Commit(c.Server, c.Item))
+	return d, pres
 }

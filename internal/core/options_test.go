@@ -9,7 +9,7 @@ import (
 // TestResolveGameOptionsDefaultsZeroValue: an unset zero-value
 // game.Options must be replaced by the engine defaults.
 func TestResolveGameOptionsDefaultsZeroValue(t *testing.T) {
-	got := resolveGameOptions(game.Options{})
+	got := game.Options{}.Resolved()
 	if got != game.DefaultOptions() {
 		t.Fatalf("zero-value options resolved to %+v, want DefaultOptions %+v",
 			got, game.DefaultOptions())
@@ -23,7 +23,7 @@ func TestResolveGameOptionsDefaultsZeroValue(t *testing.T) {
 // for the defaults.
 func TestResolveGameOptionsPreservesExplicitZero(t *testing.T) {
 	explicit := game.NewOptions(game.Options{})
-	got := resolveGameOptions(explicit)
+	got := explicit.Resolved()
 	if got != explicit {
 		t.Fatalf("explicit all-zero options were replaced: got %+v", got)
 	}
@@ -36,7 +36,7 @@ func TestResolveGameOptionsPreservesExplicitZero(t *testing.T) {
 // survive untouched.
 func TestResolveGameOptionsPassesThroughNonZero(t *testing.T) {
 	o := game.Options{Policy: game.RoundRobin, Epsilon: 1e-6, MaxUpdates: 5}
-	if got := resolveGameOptions(o); got != o {
+	if got := o.Resolved(); got != o {
 		t.Fatalf("configured options mutated: got %+v want %+v", got, o)
 	}
 }

@@ -109,11 +109,11 @@ func TestCohortGainOfSteadyStateZeroAllocs(t *testing.T) {
 	s := rng.New(23)
 	for _, build := range []func() DeliveryOracle{
 		func() DeliveryOracle { return NewCohortLatencyState(in, alloc) },
-		func() DeliveryOracle { return NewBatchCohortLatencyState(in, alloc) },
+		func() DeliveryOracle { return NewLatencyState(in, alloc) },
 	} {
 		ls := build()
-		// Commit a couple of replicas so the batch oracle's deferred
-		// collapses are in play, then measure the evaluation loop.
+		// Commit a couple of replicas so collapsed cohorts are in play,
+		// then measure the evaluation loop.
 		ls.Commit(s.IntN(in.N()), s.IntN(in.K()))
 		ls.Commit(s.IntN(in.N()), s.IntN(in.K()))
 		var gi int

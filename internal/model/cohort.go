@@ -1,16 +1,12 @@
 package model
 
-import (
-	"sort"
-
-	"idde/internal/units"
-)
+import "idde/internal/units"
 
 // DeliveryOracle is the Phase 2 marginal-gain oracle contract shared by
-// the optimized cohort-aggregated state and the per-request reference
-// walk (LatencyState). Both expose Eq. 17 marginal gains and commits
-// over a growing delivery profile for a fixed allocation; they differ
-// only in evaluation cost and floating-point summation order.
+// the cohort-aggregated state and the per-request reference walk
+// (LatencyState). Both expose Eq. 17 marginal gains and commits over a
+// growing delivery profile for a fixed allocation; they differ only in
+// evaluation cost.
 type DeliveryOracle interface {
 	// GainOf reports the total latency reduction of adding replica
 	// σ_{i,k}=1 (the numerator of Eq. 17).
@@ -30,164 +26,104 @@ var (
 	_ DeliveryOracle = (*CohortLatencyState)(nil)
 )
 
-// cohort groups the requests for one item that share a serving server a.
-// Eq. 8 factorizes as EdgeLatency(k,o,a) = PathCost[o][a]·size_k, so
-// every request in the cohort sees the same latency from any replica and
-// their current latencies evolve through the same sequence of minima.
-// The multiset of current values is kept sorted ascending with prefix
-// sums, so a candidate's contribution at threshold t is a suffix query:
-// Σ_{cur > t}(cur − t) = suffixSum(t) − suffixCount(t)·t.
-type cohort struct {
-	// server is the serving server a shared by the cohort's requests.
-	server int
-	// vals are the current request latencies, sorted ascending.
-	vals []float64
-	// pre are prefix sums over vals: pre[x] = Σ vals[:x] (len(vals)+1).
-	pre []float64
-}
-
-// cohortHot is the cache-resident summary the GainOf hot loop reads: in
-// the factorized model commits collapse whole suffixes, so cohorts are
-// uniform (lo == hi) in practice and a candidate either improves the
-// entire cohort or none of it. Both cases resolve from this 32-byte
-// record — one threshold compare plus at most one fused multiply-add —
-// without touching the multiset; only a genuinely split cohort (lo < t
-// < hi) falls back to the binary search over vals/pre.
-type cohortHot struct {
-	server int32
-	n      int32
-	lo     float64 // vals[0]
-	hi     float64 // vals[n-1]
-	sum    float64 // pre[n], copied bitwise so full-cohort gains match
-}
-
-// suffixStart returns the first index whose value strictly exceeds t —
-// the boundary of the improved suffix for a replica at threshold t. The
-// extreme cases are resolved without a search because commits collapse
-// the improved suffix to a single value, keeping cohorts near-uniform:
-// in the factorized model every cohort is either fully above or fully
-// below any threshold, so the binary search is only the general-case
-// fallback.
-func (c *cohort) suffixStart(t float64) int {
-	n := len(c.vals)
-	if t >= c.vals[n-1] {
-		return n // nothing improves
-	}
-	if t < c.vals[0] {
-		return 0 // the whole cohort improves
-	}
-	return sort.Search(n, func(x int) bool { return c.vals[x] > t })
-}
-
 // CohortLatencyState is the optimized Phase 2 latency oracle: the same
 // incremental Eq. 8/Eq. 17 semantics as LatencyState, evaluated in
-// O(cohorts-of-item · log requests) per GainOf instead of
-// O(requests-of-item). Requests are grouped by (item, serving server);
-// unallocated users' requests are pinned at cloud latency forever (the
-// edge option of Eq. 8 is +Inf for them) and therefore never enter a
-// cohort — they only contribute to the Requests/Total accounting.
+// O(cohorts-of-item) per GainOf instead of O(requests-of-item).
+//
+// Requests are grouped into cohorts keyed by (item, serving server a).
+// Eq. 8 factorizes as EdgeLatency(k,o,a) = PathCost[o][a]·size_k, so
+// every request in a cohort sees the same latency from any replica.
+// Every cohort starts uniform (all requests at the item's cloud
+// latency) and every Commit lowers the improved requests to the
+// replica's uniform threshold, so a cohort is always n copies of one
+// current value cur: the state is (n, cur) plus the cached fold sum.
+// Unallocated users' requests are pinned at cloud latency forever (the
+// edge option of Eq. 8 is +Inf for them) and never enter a cohort —
+// they only contribute to the Requests/Total accounting.
 //
 // Gains are bit-identical to LatencyState's: the reference walk groups
 // its per-request fold by serving server in the same ascending order
-// and applies the same sum−count·t arithmetic (see the LatencyState
+// and applies the same sum − count·t arithmetic (see the LatencyState
 // type comment), so even mathematically tied candidates resolve the
 // same way on both paths and the committed replica sequences match
 // exactly. The differential suites pin both properties down.
+//
+// GainOf only reads, so it is safe for concurrent invocation between
+// Commits (the parallel seed scan relies on this).
 type CohortLatencyState struct {
 	in *Instance
-	// cohorts[k] lists item k's cohorts, ascending by serving server.
-	cohorts [][]cohort
-	// hot[k] is the parallel contiguous summary array read by GainOf.
-	hot      [][]cohortHot
+	// cohorts[k] lists item k's cohorts ascending by serving server, as
+	// views into one shared backing array.
+	cohorts  [][]cohort
 	requests int
 	total    float64
 }
 
-// cohortCounts tallies requests per (item, serving server) for
-// allocated users into one flat K·N array, accumulating the
-// Requests/Total denominators in the same j-order fold as LatencyState
-// so the totals agree bitwise. Shared by both cohort oracle
-// constructors.
-func cohortCounts(in *Instance, alloc Allocation, requests *int, total *float64) []int32 {
-	counts := make([]int32, in.K()*in.N())
-	n := in.N()
-	for j, items := range in.Wl.Requests {
-		a := alloc[j]
-		for _, k := range items {
-			*requests++
-			*total += float64(in.CloudLatency(k))
-			if !a.Allocated() {
-				continue
-			}
-			counts[k*n+a.Server]++
-		}
+// cohort is one (item, serving server) cohort: n requests, all at the
+// current latency cur. sum caches foldUniform(cur, n).
+type cohort struct {
+	server int32
+	n      int32
+	cur    float64
+	sum    float64
+}
+
+// foldUniform computes the left-to-right fold v+v+…+v over n terms —
+// bitwise the per-request fold the reference walk performs, which n·v
+// (one rounding instead of n−1) is not.
+func foldUniform(v float64, n int) float64 {
+	var s float64
+	for ; n > 0; n-- {
+		s += v
 	}
-	return counts
+	return s
 }
 
 // NewCohortLatencyState builds the cohort oracle for the given
 // allocation with an empty delivery profile. Every per-item slice is a
-// view into one of four shared backing arrays sized in a counting
-// pass, so construction costs a fixed handful of allocations
-// regardless of the item or cohort count.
+// view into one backing array sized in a counting pass, so
+// construction costs a fixed handful of allocations regardless of the
+// item or cohort count.
 func NewCohortLatencyState(in *Instance, alloc Allocation) *CohortLatencyState {
 	ls := &CohortLatencyState{
 		in:      in,
 		cohorts: make([][]cohort, in.K()),
-		hot:     make([][]cohortHot, in.K()),
 	}
-	counts := cohortCounts(in, alloc, &ls.requests, &ls.total)
+	// Tally requests per (item, serving server) for allocated users,
+	// accumulating the Requests/Total denominators in the same j-order
+	// fold as LatencyState so the totals agree bitwise.
 	n := in.N()
-	totalCohorts, totalVals := 0, 0
-	for _, cnt := range counts {
-		if cnt > 0 {
-			totalCohorts++
-			totalVals += int(cnt)
+	counts := make([]int32, in.K()*n)
+	totalCohorts := 0
+	for j, items := range in.Wl.Requests {
+		a := alloc[j]
+		for _, k := range items {
+			ls.requests++
+			ls.total += float64(in.CloudLatency(k))
+			if !a.Allocated() {
+				continue
+			}
+			if counts[k*n+a.Server] == 0 {
+				totalCohorts++
+			}
+			counts[k*n+a.Server]++
 		}
 	}
-	csBuf := make([]cohort, totalCohorts)
-	hsBuf := make([]cohortHot, totalCohorts)
-	valsBuf := make([]float64, totalVals)
-	preBuf := make([]float64, totalVals+totalCohorts)
-	co, vo, po := 0, 0, 0
+	buf := make([]cohort, totalCohorts)
+	co := 0
 	for k := 0; k < in.K(); k++ {
-		row := counts[k*n : (k+1)*n]
-		nc := 0
-		for _, cnt := range row {
-			if cnt > 0 {
-				nc++
-			}
-		}
-		if nc == 0 {
-			continue
-		}
 		cloud := float64(in.CloudLatency(k))
-		cs := csBuf[co : co : co+nc]
-		hs := hsBuf[co : co : co+nc]
-		co += nc
-		for a, cnt32 := range row {
-			cnt := int(cnt32)
+		start := co
+		for a, cnt := range counts[k*n : (k+1)*n] {
 			if cnt == 0 {
 				continue
 			}
-			c := cohort{
-				server: a,
-				vals:   valsBuf[vo : vo+cnt : vo+cnt],
-				pre:    preBuf[po : po+cnt+1 : po+cnt+1],
-			}
-			vo, po = vo+cnt, po+cnt+1
-			for x := 0; x < cnt; x++ {
-				c.vals[x] = cloud
-				c.pre[x+1] = c.pre[x] + cloud
-			}
-			cs = append(cs, c)
-			hs = append(hs, cohortHot{
-				server: int32(a), n: int32(cnt),
-				lo: cloud, hi: cloud, sum: c.pre[cnt],
-			})
+			buf[co] = cohort{server: int32(a), n: cnt, cur: cloud, sum: foldUniform(cloud, int(cnt))}
+			co++
 		}
-		ls.cohorts[k] = cs
-		ls.hot[k] = hs
+		if co > start {
+			ls.cohorts[k] = buf[start:co:co]
+		}
 	}
 	return ls
 }
@@ -207,66 +143,41 @@ func (ls *CohortLatencyState) Avg() units.Seconds {
 }
 
 // GainOf reports the total latency reduction of adding replica
-// σ_{i,k}=1: for each cohort the threshold t = PathCost[i][a]·size_k is
-// one multiplication against the hoisted path-cost row, and the
-// improved suffix resolves from the cohortHot summary (whole cohort or
-// nothing) with a prefix-sum fallback for split cohorts. Safe for
-// concurrent invocation between Commits.
+// σ_{i,k}=1: per cohort the threshold t = PathCost[i][a]·size_k is one
+// multiplication against the hoisted path-cost row, and a uniform
+// cohort either improves entirely (sum − n·t) or not at all.
 func (ls *CohortLatencyState) GainOf(i, k int) units.Seconds {
 	row := ls.in.Top.PathCost[i]
 	size := float64(ls.in.Wl.Items[k].Size)
 	var gain float64
-	hots := ls.hot[k]
-	for hi := range hots {
-		h := &hots[hi]
-		t := float64(row[h.server]) * size
-		if t >= h.hi {
-			continue // nothing improves
+	cs := ls.cohorts[k]
+	for ci := range cs {
+		c := &cs[ci]
+		t := float64(row[c.server]) * size
+		if t >= c.cur {
+			continue // nothing improves: the cohort is uniform at cur
 		}
-		if t < h.lo {
-			gain += h.sum - float64(h.n)*t // the whole cohort improves
-			continue
-		}
-		c := &ls.cohorts[k][hi]
-		n := len(c.vals)
-		idx := sort.Search(n, func(x int) bool { return c.vals[x] > t })
-		gain += (c.pre[n] - c.pre[idx]) - float64(n-idx)*t
+		gain += c.sum - float64(c.n)*t
 	}
 	return units.Seconds(gain)
 }
 
-// Commit applies replica σ_{i,k}=1, re-bucketing only the improved
-// requests: each cohort's suffix above the threshold collapses to the
-// threshold value, which preserves sortedness, the prefix sums are
-// rebuilt from the collapse point only, and the cohortHot summary is
-// refreshed.
+// Commit applies replica σ_{i,k}=1: each improved cohort collapses to
+// the threshold value and refolds its sum, so GainOf never writes.
 func (ls *CohortLatencyState) Commit(i, k int) units.Seconds {
 	row := ls.in.Top.PathCost[i]
 	size := float64(ls.in.Wl.Items[k].Size)
 	var gain float64
-	hots := ls.hot[k]
-	for hi := range hots {
-		h := &hots[hi]
-		t := float64(row[h.server]) * size
-		if t >= h.hi {
+	cs := ls.cohorts[k]
+	for ci := range cs {
+		c := &cs[ci]
+		t := float64(row[c.server]) * size
+		if t >= c.cur {
 			continue
 		}
-		c := &ls.cohorts[k][hi]
-		n := len(c.vals)
-		idx := 0
-		if t >= h.lo {
-			idx = sort.Search(n, func(x int) bool { return c.vals[x] > t })
-		}
-		gain += (c.pre[n] - c.pre[idx]) - float64(n-idx)*t
-		for x := idx; x < n; x++ {
-			c.vals[x] = t
-			c.pre[x+1] = c.pre[x] + t
-		}
-		if idx == 0 {
-			h.lo = t
-		}
-		h.hi = t
-		h.sum = c.pre[n]
+		gain += c.sum - float64(c.n)*t
+		c.cur = t
+		c.sum = foldUniform(t, int(c.n))
 	}
 	ls.total -= gain
 	return units.Seconds(gain)

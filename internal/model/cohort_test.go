@@ -21,8 +21,10 @@ func relClose(a, b float64) bool {
 // anything weaker lets mathematically tied candidates resolve
 // differently between the optimized and reference greedy paths.
 func TestCohortMatchesNaiveOracle(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7, 2022} {
-		in := genInstance(t, 12, 90, 4, seed)
+	fixtures := []struct{ n, m, k int }{{12, 90, 4}, {10, 80, 3}}
+	for _, seed := range []uint64{1, 2, 3, 7, 21, 2022} {
+		f := fixtures[int(seed)%len(fixtures)]
+		in := genInstance(t, f.n, f.m, f.k, seed)
 		s := rng.New(seed * 101)
 		alloc := randomValidAllocation(in, s)
 		co := NewCohortLatencyState(in, alloc)
@@ -125,10 +127,12 @@ func TestCohortTinyInstanceExact(t *testing.T) {
 	}
 }
 
-// TestCohortSuffixCollapsePreservesSortedness drives one cohort through
-// a descending-threshold commit ladder and checks the multiset invariant
-// directly: vals stay ascending and prefix sums stay consistent.
-func TestCohortSuffixCollapsePreservesSortedness(t *testing.T) {
+// TestCohortCommitRefoldsUniformSum drives the cohorts through a random
+// commit ladder and checks the uniform-cohort invariant directly: every
+// cohort's cached sum is the left-to-right fold of n copies of its
+// current value, and the current value never exceeds the cloud latency
+// it started from.
+func TestCohortCommitRefoldsUniformSum(t *testing.T) {
 	in := genInstance(t, 10, 80, 3, 21)
 	s := rng.New(33)
 	co := NewCohortLatencyState(in, randomValidAllocation(in, s))
@@ -138,16 +142,14 @@ func TestCohortSuffixCollapsePreservesSortedness(t *testing.T) {
 	for k := range co.cohorts {
 		for ci := range co.cohorts[k] {
 			c := &co.cohorts[k][ci]
-			if len(c.pre) != len(c.vals)+1 || c.pre[0] != 0 {
-				t.Fatalf("item %d cohort %d: malformed prefix sums", k, ci)
+			if c.n <= 0 || c.cur > float64(in.CloudLatency(k)) {
+				t.Fatalf("item %d cohort %d: malformed state n=%d cur=%g", k, ci, c.n, c.cur)
 			}
-			for x := range c.vals {
-				if x > 0 && c.vals[x] < c.vals[x-1] {
-					t.Fatalf("item %d cohort %d: vals not sorted at %d", k, ci, x)
-				}
-				if c.pre[x+1] != c.pre[x]+c.vals[x] {
-					t.Fatalf("item %d cohort %d: prefix sum drift at %d", k, ci, x)
-				}
+			if want := foldUniform(c.cur, int(c.n)); c.sum != want {
+				t.Fatalf("item %d cohort %d: sum %g, want fold %g", k, ci, c.sum, want)
+			}
+			if ci > 0 && c.server <= co.cohorts[k][ci-1].server {
+				t.Fatalf("item %d: cohorts not ascending by server at %d", k, ci)
 			}
 		}
 	}

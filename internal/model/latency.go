@@ -28,8 +28,8 @@ type itemGroup struct {
 //
 // The walk visits requests grouped by serving server, ascending, and
 // folds each group's current latencies before subtracting count·t —
-// exactly the operations (and order) the cohort oracle's prefix sums
-// perform. Within a group every request carries the same current value
+// exactly the operations (and order) of the cohort oracle's cached
+// fold. Within a group every request carries the same current value
 // (they share one latency trajectory), so the two evaluators produce
 // bit-identical gains: a last-ulp divergence would otherwise flip
 // argmax decisions between the optimized and reference paths whenever

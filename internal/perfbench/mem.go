@@ -19,8 +19,7 @@ import (
 // This file is the memory/allocation dimension of the tracked baseline
 // (BENCH_mem.json): it measures the resident footprint of the Phase 1
 // interference aggregate rows with and without a row budget, the heap
-// allocations of a full Phase 2 solve for the eager and Commit-batching
-// oracles, the CSR gain-layout footprint on the region-scaled instance
+// allocations of a full Phase 2 solve, the CSR gain-layout footprint on the region-scaled instance
 // ladder (with a sparse-vs-dense full-solve differential), and pins the
 // guarded hot paths — Ledger benefit evaluation, DeliveryOracle.GainOf
 // and the sparse GainRow reads — at zero steady-state allocations via
@@ -79,7 +78,7 @@ func memRowBudget(n int) int {
 // MemRecord is one measured memory configuration.
 type MemRecord struct {
 	// Name identifies the record, e.g. "AggRows/budget" or
-	// "SolveDelivery/batch".
+	// "SolveDelivery/optimized".
 	Name string `json:"name"`
 	N    int    `json:"n"`
 	M    int    `json:"m"`
@@ -130,7 +129,7 @@ type MemReport struct {
 	HotPathAllocs map[string]float64 `json:"hot_path_allocs"`
 	// Reductions maps "AggResidentBytes/N=<n>" to the unbounded dense
 	// footprint over the budgeted resident bytes,
-	// "SolveDeliveryAllocs/M=4000[/batch]" to the previous baseline's
+	// "SolveDeliveryAllocs/M=4000" to the previous baseline's
 	// allocs-per-solve (PrevSolveAllocsM4000) over the current count,
 	// and "InstanceBytes/M=<m>" to the dense-era gain+distance footprint
 	// over the CSR layout's bytes at each InstanceScales rung.
@@ -245,8 +244,7 @@ func RunMem(budget time.Duration, seed uint64, maxN, maxM, instMaxM int, logf fu
 		}
 	}
 
-	// Phase 2 solve allocations: the eager flat-packed cohort oracle and
-	// the Commit-batching oracle against the previous baseline's
+	// Phase 2 solve allocations against the previous baseline's
 	// constructor-dominated count.
 	for _, m := range []int{400, 4000} {
 		if maxM > 0 && m > maxM {
@@ -263,31 +261,19 @@ func RunMem(budget time.Duration, seed uint64, maxN, maxM, instMaxM int, logf fu
 			return nil, fmt.Errorf("build instance %v: %w", p, err)
 		}
 		alloc, _ := core.SolvePhase1(in, core.DefaultOptions())
-		for _, batch := range []bool{false, true} {
-			name := "SolveDelivery/optimized"
-			opt := core.Options{}
-			if batch {
-				name = "SolveDelivery/batch"
-				opt.CohortBatch = true
-			}
-			var replicas int
-			iters, ns, ac, bc := measure(budget, 1, func() {
-				_, pres := core.SolveDeliveryOpt(in, alloc, opt)
-				replicas = len(pres.Chosen)
-			})
-			_ = iters
-			rep.Records = append(rep.Records, MemRecord{
-				Name: name, N: p.N, M: p.M, K: p.K,
-				NsPerOp: ns, AllocsPerOp: ac, BytesPerOp: bc, Replicas: replicas,
-			})
-			logf("%-28s N=%-4d M=%-6d %10.1f allocs/op  %12.1f B/op", name, p.N, p.M, ac, bc)
-			if m == 4000 && ac > 0 {
-				key := "SolveDeliveryAllocs/M=4000"
-				if batch {
-					key += "/batch"
-				}
-				rep.Reductions[key] = PrevSolveAllocsM4000 / ac
-			}
+		const name = "SolveDelivery/optimized"
+		var replicas int
+		_, ns, ac, bc := measure(budget, 1, func() {
+			_, pres := core.SolveDeliveryOpt(in, alloc, core.Options{})
+			replicas = len(pres.Chosen)
+		})
+		rep.Records = append(rep.Records, MemRecord{
+			Name: name, N: p.N, M: p.M, K: p.K,
+			NsPerOp: ns, AllocsPerOp: ac, BytesPerOp: bc, Replicas: replicas,
+		})
+		logf("%-28s N=%-4d M=%-6d %10.1f allocs/op  %12.1f B/op", name, p.N, p.M, ac, bc)
+		if m == 4000 && ac > 0 {
+			rep.Reductions["SolveDeliveryAllocs/M=4000"] = PrevSolveAllocsM4000 / ac
 		}
 	}
 
@@ -380,12 +366,6 @@ func RunMem(budget time.Duration, seed uint64, maxN, maxM, instMaxM int, logf fu
 	var gi int
 	rep.HotPathAllocs["CohortLatencyState.GainOf"] = testing.AllocsPerRun(100, func() {
 		_ = cohort.GainOf(is[gi], ks[gi])
-		gi = (gi + 1) % len(is)
-	})
-	batch := model.NewBatchCohortLatencyState(gin, galloc)
-	gi = 0
-	rep.HotPathAllocs["BatchCohortLatencyState.GainOf"] = testing.AllocsPerRun(100, func() {
-		_ = batch.GainOf(is[gi], ks[gi])
 		gi = (gi + 1) % len(is)
 	})
 	// Sparse gain reads: obtaining a row, a binary-searched in-support

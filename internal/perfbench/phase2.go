@@ -55,8 +55,7 @@ type phase2Variant struct {
 }
 
 // phase2Variants enumerates the Phase 2 engine configurations.
-// "optimized" is the production default; "batch" adds the
-// Commit-batching oracle with per-item staleness epochs; "naive-oracle"
+// "optimized" is the production default; "naive-oracle"
 // isolates the cohort oracle (same CELF engine, per-request walk,
 // sequential seeding); "reference" is the literal Algorithm 1 re-scan
 // over the per-request walk. The multi-core sweep re-measures the
@@ -69,7 +68,6 @@ func phase2Variants() []phase2Variant {
 	par := placement.NewOptions(placement.Options{Parallel: true, ParallelThreshold: 1})
 	vs := []phase2Variant{
 		{Name: "optimized", Opt: core.Options{}},
-		{Name: "batch", Opt: core.Options{CohortBatch: true}},
 		{Name: "naive-oracle", Opt: core.Options{NaiveLatency: true, Placement: seq}},
 		{Name: "reference", Opt: core.Options{NaiveLatency: true, NaiveGreedy: true, Placement: seq}, Ref: true},
 	}
@@ -130,20 +128,15 @@ func RunPhase2Scales(scales []experiment.Params, budget time.Duration, seed uint
 		// it once per scale outside every timer.
 		alloc, _ := core.SolvePhase1(in, core.DefaultOptions())
 
-		// GainOf micro-bench: cohort suffix query vs per-request walk
+		// GainOf micro-bench: cohort aggregates vs per-request walk
 		// over an identical candidate batch on the pre-commit state.
 		const batch = 1024
 		s := rng.New(seed * 131)
 		is, ks := gainProbes(in, s, batch)
-		for _, kind := range []string{"cohort", "batch", "naive"} {
+		for _, kind := range []string{"cohort", "naive"} {
 			name := "LatencyGain/" + kind
-			var ls model.DeliveryOracle
-			switch kind {
-			case "cohort":
-				ls = model.NewCohortLatencyState(in, alloc)
-			case "batch":
-				ls = model.NewBatchCohortLatencyState(in, alloc)
-			case "naive":
+			var ls model.DeliveryOracle = model.NewCohortLatencyState(in, alloc)
+			if kind == "naive" {
 				ls = model.NewLatencyState(in, alloc)
 			}
 			iters, ns, ac, bc := measure(budget/4, batch, func() {
@@ -203,12 +196,6 @@ func RunPhase2Scales(scales []experiment.Params, budget time.Duration, seed uint
 		optG, okO := byKey[fmt.Sprintf("LatencyGain/cohort/M=%d", p.M)]
 		if okR && okO && optG.NsPerOp > 0 {
 			rep.Speedups[fmt.Sprintf("LatencyGain/M=%d", p.M)] = refG.NsPerOp / optG.NsPerOp
-		}
-		// Commit-batching oracle vs the eager cohort oracle (same CELF
-		// engine, bit-identical sequences).
-		bat, okB := byKey[fmt.Sprintf("SolveDelivery/batch/M=%d", p.M)]
-		if okB && bat.NsPerOp > 0 && opt.NsPerOp > 0 {
-			rep.Speedups[fmt.Sprintf("SolveDelivery/batch/M=%d", p.M)] = opt.NsPerOp / bat.NsPerOp
 		}
 		// Multi-core seed scan: GOMAXPROCS=1 vs all cores (absent on
 		// 1-CPU hosts, where the sweep collapses to a single entry).

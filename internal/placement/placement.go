@@ -6,7 +6,8 @@
 // approximation bounds empirically.
 //
 // The oracle abstraction decouples the greedy from the IDDE latency
-// model, so the CDP baseline and the core algorithm share one engine.
+// model. Deliver (delivery.go) binds the two: it is the one Phase 2
+// assembly that core, the sharded solver and repair all run.
 package placement
 
 import (
@@ -25,7 +26,9 @@ type Candidate struct {
 
 // Oracle exposes the marginal structure of a placement problem.
 // Gains must be monotone non-increasing as decisions commit
-// (submodularity) for LazyGreedy to match Greedy. When the parallel
+// (submodularity) for LazyGreedy to match Greedy, and a Commit changes
+// only the gains of candidates sharing its Item (feasibility may still
+// change across items). When the parallel
 // seed scan is enabled (Options.Parallel), Gain, Cost and Feasible must
 // additionally be safe for concurrent invocation while no Commit is in
 // flight — true for read-only evaluators like the model latency states.
@@ -69,16 +72,6 @@ type Options struct {
 	// ParallelThreshold is the minimum candidate count before the
 	// parallel scan kicks in; 0 means DefaultParallelThreshold.
 	ParallelThreshold int
-	// ItemLocalGains declares that a Commit only changes the gains of
-	// candidates sharing its Item — true for the IDDE delivery oracles,
-	// whose cohorts are partitioned by item (feasibility may still
-	// change across items; it is re-checked at every pop). LazyGreedy
-	// then tracks staleness per item instead of globally, skipping
-	// refresh evaluations whose result is provably the cached ratio.
-	// The pop — and therefore commit — sequence is bit-identical; only
-	// Result.Evaluations drops (the same argument as the game engine's
-	// dirty-set scheduler).
-	ItemLocalGains bool
 	// MaxCommits caps the number of committed decisions (0 =
 	// unlimited). The greedy stops as soon as the cap is reached; the
 	// committed prefix is identical to the uncapped run's first
@@ -108,6 +101,21 @@ func NewOptions(o Options) Options {
 // DefaultOptions returns the configuration used by IDDE-G's Phase 2.
 func DefaultOptions() Options {
 	return Options{Parallel: true, Set: true}
+}
+
+// Resolved replaces an unset zero-value Options with DefaultOptions.
+// Explicitly configured options — even all-zero ones, which carry Set
+// — pass through verbatim. A telemetry scope is not configuration: it
+// is ignored by the zero-value comparison and carried over, so
+// Options{Obs: sc} still resolves to the defaults.
+func (o Options) Resolved() Options {
+	sc := o.Obs
+	o.Obs = nil
+	if o == (Options{}) {
+		o = DefaultOptions()
+	}
+	o.Obs = sc
+	return o
 }
 
 // Greedy runs the literal Algorithm 1 Phase 2 loop: every round,
@@ -192,30 +200,23 @@ func LazyGreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 	pq := seedHeap(cands, o, opt, &res)
 	pq.init()
 	res.Chosen = make([]Candidate, 0, len(pq))
-	// With ItemLocalGains the staleness epoch is tracked per item: a
-	// commit bumps only its own item's epoch, so candidates of other
-	// items keep their provably unchanged cached ratios.
-	var itemRound []int
-	if opt.ItemLocalGains {
-		maxItem := -1
-		for _, c := range cands {
-			if c.Item > maxItem {
-				maxItem = c.Item
-			}
-		}
-		itemRound = make([]int, maxItem+1)
+	// Staleness is tracked per item: by the Oracle contract a commit
+	// changes only its own item's gains, so it bumps only that item's
+	// epoch and candidates of other items keep their provably unchanged
+	// cached ratios. The pop sequence is the one global epochs would
+	// give; only Result.Evaluations is smaller.
+	maxItem := -1
+	for _, c := range cands {
+		maxItem = max(maxItem, c.Item)
 	}
-	round := 0
+	itemRound := make([]int, maxItem+1)
 	for len(pq) > 0 {
 		top := pq[0]
 		if !o.Feasible(top.c) {
 			pq.popTop() // capacity shrank; gone forever
 			continue
 		}
-		epoch := round
-		if itemRound != nil {
-			epoch = itemRound[top.c.Item]
-		}
+		epoch := itemRound[top.c.Item]
 		if top.round != epoch {
 			// Stale bound: refresh and reposition. Submodularity means the
 			// refreshed ratio never rises, so sifting down from the root is
@@ -239,10 +240,7 @@ func LazyGreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 		if opt.MaxCommits > 0 && len(res.Chosen) >= opt.MaxCommits {
 			break
 		}
-		round++
-		if itemRound != nil {
-			itemRound[top.c.Item]++
-		}
+		itemRound[top.c.Item]++
 	}
 	publishResult(opt.Obs, &res)
 	return res

@@ -266,35 +266,25 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 	newAlloc := ledger.Alloc()
 
 	// Phase B: rebuild the delivery profile — survivors keep their
-	// slots, the greedy re-places into what storage remains.
+	// slots, the greedy re-places into what storage remains on the
+	// surviving servers (sequential seed scan).
 	delivery := model.NewDelivery(degraded.N(), degraded.K())
-	ls := model.NewLatencyState(degraded, newAlloc)
+	var up []int
 	for i := 0; i < degraded.N(); i++ {
+		if !down(i) {
+			up = append(up, i)
+		}
 		for k := 0; k < degraded.K(); k++ {
-			if !st.Delivery.Placed(i, k) {
-				continue
-			}
-			if down(i) {
+			switch {
+			case !st.Delivery.Placed(i, k):
+			case down(i):
 				rep.LostReplicas++
-				continue
-			}
-			delivery.Place(i, k, degraded.Wl.Items[k].Size)
-			ls.Commit(i, k)
-		}
-	}
-	oracle := &repairOracle{in: degraded, ls: ls, d: delivery}
-	var cands []placement.Candidate
-	for i := 0; i < degraded.N(); i++ {
-		if down(i) {
-			continue
-		}
-		for k := 0; k < degraded.K(); k++ {
-			if !delivery.Placed(i, k) {
-				cands = append(cands, placement.Candidate{Server: i, Item: k})
+			default:
+				delivery.Place(i, k, degraded.Wl.Items[k].Size)
 			}
 		}
 	}
-	pres := placement.LazyGreedy(cands, oracle)
+	_, pres := placement.Deliver(degraded, newAlloc, placement.DeliverySpec{Servers: up, Base: delivery})
 	rep.ReplacedReplicas = len(pres.Chosen)
 
 	repaired := model.Strategy{Alloc: newAlloc, Delivery: delivery, Mode: st.Mode}
@@ -343,31 +333,4 @@ func neighbourhood(in *model.Instance, displaced []int) []int {
 		}
 	}
 	return out
-}
-
-type repairOracle struct {
-	in *model.Instance
-	ls *model.LatencyState
-	d  *model.Delivery
-}
-
-func (o *repairOracle) Gain(c placement.Candidate) float64 {
-	return float64(o.ls.GainOf(c.Server, c.Item))
-}
-
-func (o *repairOracle) Cost(c placement.Candidate) float64 {
-	return float64(o.in.Wl.Items[c.Item].Size)
-}
-
-func (o *repairOracle) Feasible(c placement.Candidate) bool {
-	if o.d.Placed(c.Server, c.Item) {
-		return false
-	}
-	size := o.in.Wl.Items[c.Item].Size
-	return o.d.Used(c.Server)+size <= o.in.Wl.Capacity[c.Server]
-}
-
-func (o *repairOracle) Commit(c placement.Candidate) float64 {
-	o.d.Place(c.Server, c.Item, o.in.Wl.Items[c.Item].Size)
-	return float64(o.ls.Commit(c.Server, c.Item))
 }

@@ -61,7 +61,6 @@ type Config struct {
 	NaiveGreedy       bool
 	NaiveInterference bool
 	NaiveLatency      bool
-	CohortBatch       bool
 	// AggRowBudget is the per-tile ledger aggregate-row budget (0 =
 	// unlimited). Each tile owns its own arena and budget, so total
 	// resident rows scale with tiles × budget.
@@ -144,26 +143,34 @@ func (c Config) TileStream(t int) *rng.Stream {
 	return rng.New(c.Seed).SplitN("tile", t)
 }
 
-// resolveGame mirrors core's resolution: zero value → engine defaults,
-// Obs stripped from the comparison.
-func resolveGame(o game.Options) game.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (game.Options{}) {
-		o = game.DefaultOptions()
+// newLedger builds a ledger over view (the full instance or a tile
+// view) with the configured Phase 1 evaluator and row budget; the tile
+// games and the halo exchange both start from it.
+func (c Config) newLedger(view *model.Instance, alloc model.Allocation) *model.Ledger {
+	l := model.NewLedger(view, alloc)
+	if c.NaiveInterference {
+		l.SetNaiveInterference(true)
 	}
-	o.Obs = sc
-	return o
+	if c.AggRowBudget > 0 {
+		l.SetAggRowBudget(c.AggRowBudget)
+	}
+	return l
 }
 
-func resolvePlacement(o placement.Options) placement.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (placement.Options{}) {
-		o = placement.DefaultOptions()
+// deliverySpec is the Phase 2 configuration every tile pass and the
+// reconcile pass run with: the literal re-scan honours only the scope
+// (as core's does), CELF runs the resolved Placement options.
+func (c Config) deliverySpec(sc *obs.Scope) placement.DeliverySpec {
+	popt := placement.Options{Obs: sc}
+	if !c.NaiveGreedy {
+		popt = c.Placement
+		popt.Obs = sc
 	}
-	o.Obs = sc
-	return o
+	return placement.DeliverySpec{
+		NaiveLatency: c.NaiveLatency,
+		NaiveGreedy:  c.NaiveGreedy,
+		Options:      popt,
+	}
 }
 
 // tileGame adapts one tile's slice of the IDDE-U game to the generic
@@ -315,8 +322,8 @@ func Views(in *model.Instance, tiles int) []*model.Instance {
 
 // Solve runs the sharded two-phase solver.
 func Solve(in *model.Instance, cfg Config) *Result {
-	cfg.Game = resolveGame(cfg.Game)
-	cfg.Placement = resolvePlacement(cfg.Placement)
+	cfg.Game = cfg.Game.Resolved()
+	cfg.Placement = cfg.Placement.Resolved()
 	sc := cfg.Obs
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -371,13 +378,7 @@ func Solve(in *model.Instance, cfg Config) *Result {
 		if T > 1 {
 			view = tileView(in, p, t, restricted)
 		}
-		l := model.NewLedger(view, model.NewAllocation(in.M()))
-		if cfg.NaiveInterference {
-			l.SetNaiveInterference(true)
-		}
-		if cfg.AggRowBudget > 0 {
-			l.SetAggRowBudget(cfg.AggRowBudget)
-		}
+		l := cfg.newLedger(view, model.NewAllocation(in.M()))
 		ledgers[t] = l
 		if tsc.Tracing() {
 			tsc.Begin("shard", "tile_phase1", map[string]any{
@@ -427,13 +428,7 @@ func Solve(in *model.Instance, cfg Config) *Result {
 				merged[j] = l.Current(j)
 			}
 		}
-		haloLedger = model.NewLedger(in, merged)
-		if cfg.NaiveInterference {
-			haloLedger.SetNaiveInterference(true)
-		}
-		if cfg.AggRowBudget > 0 {
-			haloLedger.SetAggRowBudget(cfg.AggRowBudget)
-		}
+		haloLedger = cfg.newLedger(in, merged)
 		ledgers = nil // tile ledgers (arenas, rows) are dead: release
 		res.Stats.HaloConverged = runExchange(in, p, haloLedger, restricted, cfg, sc, &res.Stats)
 	}
@@ -442,7 +437,10 @@ func Solve(in *model.Instance, cfg Config) *Result {
 	res.AvgRate = haloLedger.AvgRate()
 
 	// ---- Phase 2: per-tile CELF over tile servers × items requested
-	// by tile users, against the frozen global allocation.
+	// by tile users, against the frozen global allocation: the global
+	// assembly over a shallow instance whose requests are filtered to
+	// the tile's users. Tiles partition the servers, so capacity
+	// conflicts across tiles are impossible by construction.
 	sc.Begin("solve", "phase2", nil)
 	t2 := time.Now()
 	if sc.Tracing() {
@@ -455,7 +453,9 @@ func Solve(in *model.Instance, cfg Config) *Result {
 		if tsc.Tracing() {
 			tsc.Begin("shard", "tile_phase2", map[string]any{"tile": t})
 		}
-		deliveries[t], presults[t] = solveTileDelivery(in, p.Tiles[t], res.Alloc, cfg, tsc)
+		spec := cfg.deliverySpec(tsc)
+		spec.Servers = p.Tiles[t].Servers
+		deliveries[t], presults[t] = placement.Deliver(tileInstance(in, p.Tiles[t]), res.Alloc, spec)
 		if tsc.Tracing() {
 			tsc.End("shard", "tile_phase2")
 		}
@@ -637,47 +637,6 @@ func runExchange(in *model.Instance, p *Partition, l *model.Ledger, restricted [
 	return false
 }
 
-// solveTileDelivery runs Phase 2 for one tile: the same oracle and
-// engine selection as the global solver, but over a shallow instance
-// whose requests are filtered to the tile's users, with candidates
-// restricted to the tile's servers. Tiles partition the servers, so
-// capacity conflicts across tiles are impossible by construction.
-func solveTileDelivery(in *model.Instance, tile Tile, alloc model.Allocation, cfg Config, sc *obs.Scope) (*model.Delivery, placement.Result) {
-	in2 := tileInstance(in, tile)
-	oracle := &deliveryOracle{in: in2, d: model.NewDelivery(in.N(), in.K())}
-	switch {
-	case cfg.NaiveLatency:
-		oracle.ls = model.NewLatencyState(in2, alloc)
-	case cfg.CohortBatch:
-		oracle.ls = model.NewBatchCohortLatencyState(in2, alloc)
-	default:
-		oracle.ls = model.NewCohortLatencyState(in2, alloc)
-	}
-	requested := make([]bool, in.K())
-	for _, j := range tile.Users {
-		for _, k := range in.Wl.Requests[j] {
-			requested[k] = true
-		}
-	}
-	cands := make([]placement.Candidate, 0, len(tile.Servers)*in.K())
-	for _, i := range tile.Servers {
-		for k := 0; k < in.K(); k++ {
-			if requested[k] {
-				cands = append(cands, placement.Candidate{Server: i, Item: k})
-			}
-		}
-	}
-	if cfg.NaiveGreedy {
-		return oracle.d, placement.GreedyOpt(cands, oracle, placement.Options{Obs: sc})
-	}
-	popt := cfg.Placement
-	popt.Obs = sc
-	if cfg.CohortBatch && !cfg.NaiveLatency {
-		popt.ItemLocalGains = true
-	}
-	return oracle.d, placement.LazyGreedyOpt(cands, oracle, popt)
-}
-
 // tileInstance is a shallow view of the instance with the request lists
 // of users the tile does not own blanked out: topology, gains, items
 // and capacities are shared, so latency arithmetic is bit-identical to
@@ -697,83 +656,18 @@ func tileInstance(in *model.Instance, tile Tile) *model.Instance {
 // reconcile rebuilds a global oracle over the merged delivery — the
 // replicas replay in ascending (server, item) order, a canonical order
 // independent of which tile placed them — and runs one bounded CELF
-// pass over all remaining candidates. For a single tile the replayed
-// profile is exactly the tile greedy's output, so no remaining
-// candidate has positive gain and the pass commits nothing.
+// pass over all remaining candidates, committing into d. For a single
+// tile the replayed profile is exactly the tile greedy's output, so no
+// remaining candidate has positive gain and the pass commits nothing.
 func reconcile(in *model.Instance, alloc model.Allocation, d *model.Delivery, cfg Config, sc *obs.Scope) placement.Result {
-	oracle := &deliveryOracle{in: in, d: d}
-	switch {
-	case cfg.NaiveLatency:
-		oracle.ls = model.NewLatencyState(in, alloc)
-	case cfg.CohortBatch:
-		oracle.ls = model.NewBatchCohortLatencyState(in, alloc)
-	default:
-		oracle.ls = model.NewCohortLatencyState(in, alloc)
-	}
-	for i := 0; i < in.N(); i++ {
-		for k := 0; k < in.K(); k++ {
-			if d.Placed(i, k) {
-				oracle.ls.Commit(i, k)
-			}
-		}
-	}
-	requested := make([]bool, in.K())
-	for _, items := range in.Wl.Requests {
-		for _, k := range items {
-			requested[k] = true
-		}
-	}
-	cands := make([]placement.Candidate, 0, in.N()*in.K())
-	for i := 0; i < in.N(); i++ {
-		for k := 0; k < in.K(); k++ {
-			if requested[k] && !d.Placed(i, k) {
-				cands = append(cands, placement.Candidate{Server: i, Item: k})
-			}
-		}
-	}
 	if sc.Tracing() {
-		sc.Instant("shard", "reconcile", map[string]any{"candidates": len(cands)})
+		sc.Instant("shard", "reconcile", map[string]any{"replicas": d.Count()})
 	}
-	if cfg.NaiveGreedy {
-		popt := placement.Options{Obs: sc, MaxCommits: cfg.ReconcileCommits}
-		return placement.GreedyOpt(cands, oracle, popt)
-	}
-	popt := cfg.Placement
-	popt.Obs = sc
-	popt.MaxCommits = cfg.ReconcileCommits
-	if cfg.CohortBatch && !cfg.NaiveLatency {
-		popt.ItemLocalGains = true
-	}
-	return placement.LazyGreedyOpt(cands, oracle, popt)
-}
-
-// deliveryOracle mirrors core's Phase 2 oracle: incremental latency
-// state plus the delivery profile under construction.
-type deliveryOracle struct {
-	in *model.Instance
-	ls model.DeliveryOracle
-	d  *model.Delivery
-}
-
-func (o *deliveryOracle) Gain(c placement.Candidate) float64 {
-	return float64(o.ls.GainOf(c.Server, c.Item))
-}
-
-func (o *deliveryOracle) Cost(c placement.Candidate) float64 {
-	return float64(o.in.Wl.Items[c.Item].Size)
-}
-
-func (o *deliveryOracle) Feasible(c placement.Candidate) bool {
-	if o.d.Placed(c.Server, c.Item) {
-		return false
-	}
-	size := o.in.Wl.Items[c.Item].Size
-	return o.d.Used(c.Server)+size <= o.in.Wl.Capacity[c.Server]
-}
-
-func (o *deliveryOracle) Commit(c placement.Candidate) float64 {
-	o.d.Place(c.Server, c.Item, o.in.Wl.Items[c.Item].Size)
-	return float64(o.ls.Commit(c.Server, c.Item))
+	spec := cfg.deliverySpec(sc)
+	spec.Base = d
+	spec.Options.MaxCommits = cfg.ReconcileCommits
+	_, res := placement.Deliver(in, alloc, spec)
+	return res
 }
 
 // statsOf summarizes a partition into the Stats shell.

@@ -13,16 +13,16 @@ import (
 )
 
 // The end-to-end differential suite for the large-N memory work: the
-// bounded aggregate-row ledger, the Commit-batching Phase 2 oracle and
-// the worker-pool scans must all reproduce the unbounded single-core
+// bounded aggregate-row ledger, the O(cohorts) Phase 2 oracle and the
+// worker-pool scans must all reproduce the unbounded single-core
 // results exactly — not approximately — across allocation, replica
 // sequence and every reported stat.
 
 // deepenBudgets raises every server's storage capacity to at least
 // eight mean item sizes, the regime where the greedy loop commits many
-// replicas per item and the Commit batcher's deferred suffix-collapses
-// actually batch (shallow budgets commit an item at most once or twice
-// per server, hiding collapse bugs).
+// replicas per item and cohorts collapse repeatedly (shallow budgets
+// commit an item at most once or twice per server, hiding collapse
+// bugs).
 func deepenBudgets(in *model.Instance) {
 	var total units.MegaBytes
 	for _, it := range in.Wl.Items {
@@ -36,11 +36,11 @@ func deepenBudgets(in *model.Instance) {
 	}
 }
 
-// TestDeliveryBatchOracleOnDeepBudgets pins the Commit-batching oracle
-// on deep-budget instances (storage ≥ 8× mean item size): all six
-// oracle×engine combinations — including batch with and without the
-// parallel seed scan — must commit the identical replica sequence,
-// delivery profile and bit-identical total gain.
+// TestDeliveryBatchOracleOnDeepBudgets pins the cohort oracle against
+// the LatencyState reference on deep-budget instances (storage ≥ 8×
+// mean item size), where commits per item pile up: every oracle×engine
+// combination must commit the identical replica sequence, delivery
+// profile and bit-identical total gain.
 func TestDeliveryBatchOracleOnDeepBudgets(t *testing.T) {
 	for _, seed := range []uint64{5, 21, 2022} {
 		in, err := experiment.BuildInstance(experiment.Params{N: 15, M: 200, K: 6, Density: 1.0}, seed)
@@ -148,27 +148,29 @@ func TestSolveAggRowBudgetMatchesUnbounded(t *testing.T) {
 
 // TestSolveAggRowBudgetEndToEnd runs the full two-phase solve under a
 // tight row budget and checks the complete result fingerprint against
-// the unbounded solve — Phase 2 consumes the Phase 1 equilibrium, so
-// any budget-induced drift would surface in the delivery profile too.
+// an unbounded solve whose Phase 2 is the reference (LatencyState
+// oracle + literal re-scan) — Phase 1 feeds Phase 2, so any
+// budget-induced drift would surface in the delivery profile too.
 func TestSolveAggRowBudgetEndToEnd(t *testing.T) {
 	in, err := experiment.BuildInstance(experiment.Params{N: 20, M: 200, K: 6, Density: 1.0}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := fingerprint(core.Solve(in, core.DefaultOptions()))
+	ref := core.DefaultOptions()
+	ref.NaiveLatency, ref.NaiveGreedy = true, true
+	base := fingerprint(core.Solve(in, ref))
 	opt := core.DefaultOptions()
 	opt.AggRowBudget = 5
-	opt.CohortBatch = true
 	got := fingerprint(core.Solve(in, opt))
 	if got.Evaluations >= base.Evaluations {
-		t.Fatalf("per-item staleness epochs saved no evaluations: %d vs %d",
+		t.Fatalf("CELF with per-item staleness saved no evaluations over the re-scan: %d vs %d",
 			got.Evaluations, base.Evaluations)
 	}
-	// The oracle-call count legitimately drops under ItemLocalGains (the
-	// skipped refreshes are provably identical); everything observable —
-	// allocation, profile, stats, objectives — must match exactly.
+	// Only the oracle-call count may differ (the skipped refreshes are
+	// provably identical); everything observable — allocation, profile,
+	// stats, objectives — must match exactly.
 	got.Evaluations = base.Evaluations
 	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("budgeted+batch solve diverges from default:\n%+v\nvs\n%+v", got, base)
+		t.Fatalf("budgeted solve diverges from the reference:\n%+v\nvs\n%+v", got, base)
 	}
 }

@@ -25,21 +25,7 @@ type allocGame struct {
 func (g *allocGame) NumPlayers() int { return g.in.M() }
 
 func (g *allocGame) Best(j int) (model.Alloc, float64, float64) {
-	cur := g.l.Current(j)
-	curB := g.l.Benefit(j, cur)
-	best, bestB := cur, curB
-	for _, i := range g.in.Top.Coverage[j] {
-		for x := 0; x < g.in.Top.Servers[i].Channels; x++ {
-			a := model.Alloc{Server: i, Channel: x}
-			if a == cur {
-				continue
-			}
-			if b := g.l.Benefit(j, a); b > bestB {
-				best, bestB = a, b
-			}
-		}
-	}
-	return best, bestB, curB
+	return g.l.BestResponse(j, g.in.Top.Coverage[j])
 }
 
 func (g *allocGame) Apply(j int, a model.Alloc) { g.l.Move(j, a) }

@@ -122,7 +122,9 @@ func TestAggregateEmptiedChannelIsExactlyZero(t *testing.T) {
 }
 
 // TestAggregateRowsBuildConcurrently exercises the lazy row publication
-// under concurrent best-response-style evaluation (run with -race).
+// under concurrent best-response evaluation (run with -race): the fused
+// BestResponse kernel faults rows in while other workers read them, and
+// must still agree with the per-candidate Benefit loop.
 func TestAggregateRowsBuildConcurrently(t *testing.T) {
 	in := genInstance(t, 10, 120, 3, 9)
 	s := rng.New(11)
@@ -133,10 +135,11 @@ func TestAggregateRowsBuildConcurrently(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for j := w; j < in.M(); j += 8 {
-				for _, i := range in.Top.Coverage[j] {
-					for x := 0; x < in.Top.Servers[i].Channels; x++ {
-						_ = l.Benefit(j, Alloc{Server: i, Channel: x})
-					}
+				ga, gb, gc := l.BestResponse(j, in.Top.Coverage[j])
+				wa, wb, wc := benefitLoop(l, j, in.Top.Coverage[j])
+				if ga != wa || gb != wb || gc != wc {
+					t.Errorf("user %d: concurrent BestResponse (%v, %g, %g) != Benefit loop (%v, %g, %g)",
+						j, ga, gb, gc, wa, wb, wc)
 				}
 			}
 		}(w)

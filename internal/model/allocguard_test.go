@@ -8,9 +8,10 @@ import (
 	"idde/internal/rng"
 )
 
-// Steady-state zero-allocation guards for the two hot paths the memory
-// baseline tracks (BENCH_mem.json): Ledger benefit evaluation with warm
-// aggregate rows, and DeliveryOracle.GainOf for both cohort oracles.
+// Steady-state zero-allocation guards for the hot paths the memory
+// baseline tracks (BENCH_mem.json): Ledger benefit and best-response
+// evaluation with warm aggregate rows, and DeliveryOracle.GainOf for
+// both cohort oracles.
 // The race detector instruments allocations, so the file is excluded
 // from -race runs; the plain tier-1 `go test ./...` always runs it, and
 // the CI bench-smoke re-checks the same paths through iddebench
@@ -47,6 +48,21 @@ func TestBenefitSteadyStateZeroAllocs(t *testing.T) {
 		bi = (bi + 1) % len(js)
 	}); avg != 0 {
 		t.Fatalf("Ledger.Benefit allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestBestResponseSteadyStateZeroAllocs pins the fused Phase 1 kernel
+// (the call every best-response game makes per player) at zero
+// allocations once the aggregate rows are warm.
+func TestBestResponseSteadyStateZeroAllocs(t *testing.T) {
+	l, _, js, _ := guardFixture(t)
+	var bi int
+	if avg := testing.AllocsPerRun(200, func() {
+		j := js[bi]
+		l.BestResponse(j, l.in.Top.Coverage[j])
+		bi = (bi + 1) % len(js)
+	}); avg != 0 {
+		t.Fatalf("Ledger.BestResponse allocates %.2f allocs/op in steady state, want 0", avg)
 	}
 }
 

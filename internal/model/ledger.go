@@ -711,6 +711,112 @@ func (l *Ledger) Benefit(j int, a Alloc) float64 {
 	return g * p / den
 }
 
+// bestRespChannels is the channel span the fused BestResponse kernel
+// folds in a stack vector; servers with more channels are scored by the
+// per-candidate Benefit loop.
+const bestRespChannels = 8
+
+// BestResponse evaluates user j's Eq. 12 best response over every
+// channel of the candidate servers cands (in order, channels
+// ascending). It returns the first strictly best decision — j's current
+// decision wins ties, then the earliest (server, channel) — together
+// with its benefit and the benefit of the current decision. The result
+// is bit-identical to calling Benefit per candidate: that loop is the
+// path naive and row-budgeted ledgers take, while the default ledger
+// runs a fused kernel that loads each candidate server's aggregate row
+// and g_{i,j} once and folds the inter-cell term of all its channels in
+// one walk over Coverage[j]. Safe for concurrent callers between Moves.
+func (l *Ledger) BestResponse(j int, cands []int) (best Alloc, bestB, curB float64) {
+	cur := l.alloc[j]
+	curB = l.Benefit(j, cur)
+	best, bestB = cur, curB
+	fused := !l.naive && l.aggBudget == 0
+	for _, i := range cands {
+		c := len(l.power[i])
+		if fused && c <= bestRespChannels {
+			best, bestB = l.bestOnServer(j, i, cur, best, bestB)
+			continue
+		}
+		for x := 0; x < c; x++ {
+			a := Alloc{Server: i, Channel: x}
+			if a == cur {
+				continue
+			}
+			if b := l.Benefit(j, a); b > bestB {
+				best, bestB = a, b
+			}
+		}
+	}
+	return best, bestB, curB
+}
+
+// bestOnServer is the fused kernel for one candidate server i: it
+// scores every channel of i against the running best and returns the
+// updated (best, bestB). Each channel's inter-cell sum f[x] receives
+// exactly the terms interCellRow adds for (i, x), in the same order —
+// sources in Coverage[j] order, the self-term subtracted right after
+// j's own source cell — and the same f<0 clamp, so every score equals
+// Benefit(j, {i, x}) bit for bit.
+func (l *Ledger) bestOnServer(j, i int, cur, best Alloc, bestB float64) (Alloc, float64) {
+	d := l.agg[i].Load()
+	if d == nil {
+		d = l.aggRow(i)
+	}
+	gr := l.in.GainRow(i)
+	g := gr.At(j)
+	pj := float64(l.in.Top.Users[j].Power)
+	pw := l.power[i]
+	c := len(pw)
+	var f [bestRespChannels]float64
+	for _, o := range l.in.Top.Coverage[j] {
+		if o == i {
+			continue
+		}
+		co := min(len(l.users[o]), c)
+		off := d.srcOff[o]
+		if off < 0 {
+			// Off-coverage candidate: walk the cells, as interCellRow.
+			for x := 0; x < co; x++ {
+				for _, t := range l.users[o][x] {
+					if t == j {
+						continue
+					}
+					f[x] += gr.At(t) * float64(l.in.Top.Users[t].Power)
+				}
+			}
+			continue
+		}
+		for x, v := range d.vals[off : int(off)+co] {
+			f[x] += v
+		}
+		if cur.Server == o && cur.Channel < co {
+			f[cur.Channel] -= g * pj
+		}
+	}
+	for x := 0; x < c; x++ {
+		a := Alloc{Server: i, Channel: x}
+		if a == cur {
+			continue
+		}
+		fx := f[x]
+		if fx < 0 {
+			fx = 0 // guard fp drift from the self-term subtraction
+		}
+		// a ≠ cur, so intraOther subtracts nothing from the cell power
+		// (which remove keeps non-negative).
+		intra := float64(pw[x]) + pj
+		den := g*intra + fx
+		var b float64
+		if den > 0 {
+			b = g * pj / den
+		}
+		if b > bestB {
+			best, bestB = a, b
+		}
+	}
+	return best, bestB
+}
+
 // AvgRate evaluates Eq. (5) over the current profile: the mean rate over
 // all M users (unallocated users contribute 0 per Eq. 4's indicator).
 func (l *Ledger) AvgRate() units.Rate {

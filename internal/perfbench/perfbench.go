@@ -1,10 +1,10 @@
 // Package perfbench is the tracked performance baseline for the Phase 1
 // engine (BENCH_phase1.json): a small self-contained measurement
-// harness plus the suite that times Ledger.Benefit and core.SolvePhase1
-// across instance scales, for the optimized engine (incremental
-// interference aggregates + dirty-set scheduling) against the
-// literal-Algorithm-1 reference (naive interference + full-scan
-// rounds).
+// harness plus the suite that times Ledger.Benefit, Ledger.BestResponse
+// and core.SolvePhase1 across instance scales, for the optimized engine
+// (incremental interference aggregates, the fused best-response kernel
+// and dirty-set scheduling) against the literal-Algorithm-1 reference
+// (naive interference + full-scan rounds).
 //
 // The harness deliberately avoids testing.Benchmark so it can run from
 // cmd/iddebench with a configurable time budget and attach game stats
@@ -225,6 +225,22 @@ func RunScales(scales []experiment.Params, budget time.Duration, seed uint64, lo
 			logf("%-28s N=%-4d M=%-6d %12.1f ns/op", name, p.N, p.M, ns)
 		}
 		l.SetNaiveInterference(false)
+
+		// Ledger.BestResponse micro-bench: one op is a player's full
+		// Eq. 12 scan (every channel of every covering server) through
+		// the fused kernel, over the same probe users and profile.
+		probe := func() {
+			for _, j := range js {
+				l.BestResponse(j, in.Top.Coverage[j])
+			}
+		}
+		probe() // warm-up: rebuild the rows the naive toggle released
+		iters, ns, ac, bc := measure(budget/4, batch, probe)
+		rep.Records = append(rep.Records, Record{
+			Name: "LedgerBestResponse", N: p.N, M: p.M,
+			Iters: iters * batch, NsPerOp: ns, AllocsPerOp: ac, BytesPerOp: bc,
+		})
+		logf("%-28s N=%-4d M=%-6d %12.1f ns/op", "LedgerBestResponse", p.N, p.M, ns)
 
 		// Phase 1 solve: one op = one full best-response game from the
 		// empty profile.

@@ -21,8 +21,9 @@ import (
 // geo-sharded solver across the tile ladder versus the global solver on
 // the same instances, the rate/latency cost of the boundary
 // approximation, the single-tile identity check (Shards=1 must commit
-// the exact global strategy), and a zero-alloc guard on the tile games'
-// interior hot path (Ledger.Benefit over a restricted tile view).
+// the exact global strategy), and zero-alloc guards on the tile games'
+// interior hot path (Ledger.BestResponse and Ledger.Benefit over a
+// restricted tile view).
 
 // SingleTileCapM bounds the instance size at which the single-tile
 // sharded solve is still measured: it exists only to witness
@@ -292,9 +293,10 @@ func RunShardScales(scales []experiment.Params, tiles []int, seed uint64, maxM i
 		}
 	}
 
-	// Interior hot-path guard: the tile games spend their time in
-	// Ledger.Benefit over a restricted tile view; a warm evaluation must
-	// not allocate, or tile solves would churn the heap at scale.
+	// Interior hot-path guards: the tile games spend their time in
+	// Ledger.BestResponse (and the Benefit it is pinned to) over a
+	// restricted tile view; a warm evaluation must not allocate, or tile
+	// solves would churn the heap at scale.
 	gp := experiment.Params{N: 24, M: 200, K: 5, Density: 1.0}
 	gin, err := experiment.BuildInstance(gp, seed)
 	if err != nil {
@@ -314,6 +316,11 @@ func RunShardScales(scales []experiment.Params, tiles []int, seed uint64, maxM i
 	var bi int
 	rep.HotPathAllocs["Ledger.Benefit/tile-view"] = testing.AllocsPerRun(100, func() {
 		_ = l.Benefit(js[bi], as[bi])
+		bi = (bi + 1) % len(js)
+	})
+	rep.HotPathAllocs["Ledger.BestResponse/tile-view"] = testing.AllocsPerRun(100, func() {
+		j := js[bi]
+		l.BestResponse(j, view.Top.Coverage[j])
 		bi = (bi + 1) % len(js)
 	})
 	for k, v := range rep.HotPathAllocs {

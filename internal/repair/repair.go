@@ -298,19 +298,7 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 // bestRespond moves j to its Eq. 12 best response; reports movement.
 func bestRespond(in *model.Instance, l *model.Ledger, j int) bool {
 	cur := l.Current(j)
-	curB := l.Benefit(j, cur)
-	best, bestB := cur, curB
-	for _, i := range in.Top.Coverage[j] {
-		for x := 0; x < in.Top.Servers[i].Channels; x++ {
-			a := model.Alloc{Server: i, Channel: x}
-			if a == cur {
-				continue
-			}
-			if b := l.Benefit(j, a); b > bestB {
-				best, bestB = a, b
-			}
-		}
-	}
+	best, bestB, curB := l.BestResponse(j, in.Top.Coverage[j])
 	if best != cur && bestB > curB+1e-12 {
 		l.Move(j, best)
 		return true

@@ -198,21 +198,7 @@ func (g *tileGame) NumPlayers() int { return len(g.players) }
 
 func (g *tileGame) Best(p int) (model.Alloc, float64, float64) {
 	j := g.players[p]
-	cur := g.l.Current(j)
-	curB := g.l.Benefit(j, cur)
-	best, bestB := cur, curB
-	for _, i := range g.cov[j] {
-		for x := 0; x < g.in.Top.Servers[i].Channels; x++ {
-			a := model.Alloc{Server: i, Channel: x}
-			if a == cur {
-				continue
-			}
-			if b := g.l.Benefit(j, a); b > bestB {
-				best, bestB = a, b
-			}
-		}
-	}
-	return best, bestB, curB
+	return g.l.BestResponse(j, g.cov[j])
 }
 
 func (g *tileGame) Apply(p int, a model.Alloc) { g.l.Move(g.players[p], a) }
@@ -307,8 +293,8 @@ func tileView(in *model.Instance, p *Partition, t int, restricted [][]int) *mode
 
 // Views materializes the restricted sub-instances the tile phase solves
 // over, in tile order. The perf baseline uses them to pin the tile
-// games' interior hot path — Ledger.Benefit over a tile view — at zero
-// steady-state allocations; tests use them to inspect what a tile
+// games' interior hot path — Ledger.BestResponse over a tile view — at
+// zero steady-state allocations; tests use them to inspect what a tile
 // actually sees.
 func Views(in *model.Instance, tiles int) []*model.Instance {
 	p := MakePartition(in, tiles)

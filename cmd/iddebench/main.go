@@ -298,11 +298,6 @@ func runMem(path string, budget time.Duration, seed uint64, maxN, maxM, instMaxM
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return err
 	}
-	for _, n := range perfbench.MemScaleNs() {
-		if r, ok := rep.Reductions[fmt.Sprintf("AggResidentBytes/N=%d", n)]; ok {
-			fmt.Printf("aggregate-row resident bytes at N=%d: %.1fx smaller under budget\n", n, r)
-		}
-	}
 	if r, ok := rep.Reductions["SolveDeliveryAllocs/M=4000"]; ok {
 		fmt.Printf("SolveDeliveryAllocs/M=4000: %.1fx fewer allocs than previous baseline\n", r)
 	}

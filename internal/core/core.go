@@ -51,13 +51,6 @@ type Options struct {
 	// bit-identical; used for differential tests and the Phase 2 perf
 	// baseline.
 	NaiveLatency bool
-	// AggRowBudget caps how many Phase 1 interference aggregate rows
-	// stay resident at once (0 = unlimited). Evaluations against
-	// non-resident receivers use a bit-identical per-cell fold, so the
-	// equilibrium is unchanged; peak aggregate memory shrinks from
-	// O(N²·K̄) toward O(budget·N) at the price of wall-clock on cold
-	// receivers. See model.Ledger.SetAggRowBudget.
-	AggRowBudget int
 	// Placement configures the Phase 2 greedy engine (parallel seed
 	// scan). The zero value is replaced by placement.DefaultOptions();
 	// an intentionally all-zero configuration must carry
@@ -76,13 +69,12 @@ type Options struct {
 	NoSweepSkip bool
 	// Shards switches Solve to the geo-sharded solver (internal/shard):
 	// the instance is partitioned into that many coverage-connected
-	// tiles, both phases run per tile on their own worker/ledger/arena,
+	// tiles, both phases run per tile on their own worker and ledger,
 	// and a bounded deterministic halo-exchange plus a global CELF
 	// reconcile pass stitch the boundary back together. 0 (the default)
 	// keeps the global path; Shards=1 is bit-identical to it (pinned by
 	// shard_differential_test.go). Multi-tile results are deterministic
-	// and GOMAXPROCS-independent but approximate near tile boundaries;
-	// per-tile row budgets reuse AggRowBudget.
+	// and GOMAXPROCS-independent but approximate near tile boundaries.
 	Shards int
 	// ShardHaloRounds caps the halo-exchange sweeps of a sharded solve
 	// (0 = shard.DefaultHaloRounds, negative = no exchange). Ignored
@@ -180,9 +172,6 @@ func solvePhase1(in *model.Instance, opt Options) (*model.Ledger, game.Stats) {
 	if opt.NaiveInterference {
 		ledger.SetNaiveInterference(true)
 	}
-	if opt.AggRowBudget > 0 {
-		ledger.SetAggRowBudget(opt.AggRowBudget)
-	}
 	adapter := &allocGame{in: in, l: ledger, tracePotential: opt.TracePotential}
 	sc.Begin("solve", "phase1", nil)
 	st := game.Run[model.Alloc](adapter, g)
@@ -203,33 +192,21 @@ func scopeOf(opt Options) *obs.Scope {
 
 // publishAggStats snapshots the ledger's aggregate-row memory
 // accounting (model.AggMemStats) into gauges and, when tracing, an
-// instant event. Called after Phase 1 returns — a quiescent point, as
-// AggMemStats requires.
+// instant event. Called after Phase 1 returns, when every row the game
+// needed is built.
 func publishAggStats(sc *obs.Scope, l *model.Ledger) {
 	if !sc.Enabled() {
 		return
 	}
 	st := l.AggMemStats()
-	sc.SetGauge("agg_resident_rows", float64(st.ResidentRows))
-	sc.SetGauge("agg_ever_built_rows", float64(st.EverBuiltRows))
-	sc.SetGauge("agg_row_budget", float64(st.RowBudget))
-	sc.SetGauge("agg_arena_bytes", float64(st.ArenaBytes))
-	sc.SetGauge("agg_in_use_bytes", float64(st.InUseBytes))
-	sc.SetGauge("agg_dense_equiv_bytes", float64(st.DenseEquivBytes))
-	sc.Count("agg_evictions_total", st.Evictions)
-	sc.Count("agg_fallback_evals_total", st.FallbackEvals)
+	sc.SetGauge("agg_resident_rows", float64(st.Rows))
+	sc.SetGauge("agg_resident_bytes", float64(st.Bytes))
 	if !sc.Tracing() {
 		return
 	}
 	sc.Instant("solve", "agg_mem", map[string]any{
-		"resident_rows":     st.ResidentRows,
-		"ever_built_rows":   st.EverBuiltRows,
-		"row_budget":        st.RowBudget,
-		"arena_bytes":       st.ArenaBytes,
-		"in_use_bytes":      st.InUseBytes,
-		"dense_equiv_bytes": st.DenseEquivBytes,
-		"evictions":         st.Evictions,
-		"fallback_evals":    st.FallbackEvals,
+		"resident_rows":  st.Rows,
+		"resident_bytes": st.Bytes,
 	})
 }
 

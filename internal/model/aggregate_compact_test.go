@@ -89,6 +89,11 @@ func TestAggregateRowsSkipOffCoverageSources(t *testing.T) {
 	if len(d.vals) != wantWidth {
 		t.Fatalf("row width %d, want %d (co-covering channels only)", len(d.vals), wantWidth)
 	}
+	// AggMemStats counts the one built row: an int32 offset per source
+	// plus a float64 per co-covering channel.
+	if st, want := l.AggMemStats(), int64(4*in.N()+8*wantWidth); st.Rows != 1 || st.Bytes != want {
+		t.Fatalf("AggMemStats = %+v, want {Rows:1 Bytes:%d}", st, want)
+	}
 
 	// The compact rows must still answer every covered hypothetical
 	// identically to the naive walk, and Moves must keep them current.

@@ -22,6 +22,16 @@ func randomMove(in *Instance, j int, s *rng.Stream) Alloc {
 	return Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)}
 }
 
+// fillRandom walks every user onto a random covering decision.
+func fillRandom(in *Instance, l *Ledger, s *rng.Stream) {
+	for j := 0; j < in.M(); j++ {
+		if vs := in.Top.Coverage[j]; len(vs) > 0 {
+			i := vs[s.IntN(len(vs))]
+			l.Move(j, Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)})
+		}
+	}
+}
+
 // TestAggregateInterCellMatchesNaive is the ledger differential test:
 // the incremental (receiver, source, channel) aggregates and the naive
 // occupancy walk evaluate the same Eq. 2 sum, so after any seeded
@@ -185,4 +195,54 @@ func TestSetNaiveInterferenceRoundTrip(t *testing.T) {
 		t.Fatalf("rebuilt aggregate %g != naive %g (stale rows?)", rebuilt, naive)
 	}
 	_ = before
+}
+
+// TestEvictRebuildBitIdentical pins the fold invariant end to end: a
+// row rebuilt from the occupant lists must equal the row that Move
+// maintained all along. Every row is warmed, moved through, captured,
+// then dropped by a naive-mode round trip with no Move in between, and
+// every captured interCell must reappear with identical bits once the
+// rows are rebuilt.
+func TestEvictRebuildBitIdentical(t *testing.T) {
+	in := genInstance(t, 10, 70, 3, 5)
+	s := rng.New(41)
+	l := NewLedger(in, NewAllocation(in.M()))
+	l.WarmAggregates()
+	fillRandom(in, l, s) // maintained by aggMove, never rebuilt
+	for step := 0; step < 60; step++ {
+		j := s.IntN(in.M())
+		l.Move(j, randomMove(in, j, s))
+	}
+	if st := l.AggMemStats(); st.Rows != in.N() {
+		t.Fatalf("warm ledger has %d rows, want %d", st.Rows, in.N())
+	}
+
+	type probe struct {
+		j int
+		a Alloc
+	}
+	var probes []probe
+	var want []uint64
+	for len(probes) < 200 {
+		j := s.IntN(in.M())
+		vs := in.Top.Coverage[j]
+		if len(vs) == 0 {
+			continue
+		}
+		i := vs[s.IntN(len(vs))]
+		a := Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)}
+		probes = append(probes, probe{j, a})
+		want = append(want, math.Float64bits(float64(l.interCell(j, a))))
+	}
+
+	l.SetNaiveInterference(true)
+	if st := l.AggMemStats(); st.Rows != 0 || st.Bytes != 0 {
+		t.Fatalf("naive mode kept %d rows (%d bytes), want none", st.Rows, st.Bytes)
+	}
+	l.SetNaiveInterference(false)
+	for pi, p := range probes {
+		if got := math.Float64bits(float64(l.interCell(p.j, p.a))); got != want[pi] {
+			t.Fatalf("rebuilt interCell(%d,%v) = %x, maintained %x", p.j, p.a, got, want[pi])
+		}
+	}
 }

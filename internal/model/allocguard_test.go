@@ -66,20 +66,6 @@ func TestBestResponseSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBenefitBudgetedResidentHitZeroAllocs pins the budgeted ledger's
-// hit path: probing the same resident receiver repeatedly must not
-// allocate (only faults that build rows may).
-func TestBenefitBudgetedResidentHitZeroAllocs(t *testing.T) {
-	l, _, js, as := guardFixture(t)
-	l.SetAggRowBudget(4)
-	_ = l.Benefit(js[0], as[0]) // fault the row in
-	if avg := testing.AllocsPerRun(200, func() {
-		_ = l.Benefit(js[0], as[0])
-	}); avg != 0 {
-		t.Fatalf("budgeted Ledger.Benefit allocates %.2f allocs/op on resident hits, want 0", avg)
-	}
-}
-
 // TestGainRowZeroAllocs pins the sparse gain accessors at zero
 // allocations per read: obtaining a row, binary-searched in-support
 // reads, and the out-of-support recompute fallback must all stay off

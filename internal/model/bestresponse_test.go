@@ -99,7 +99,7 @@ func brCandidates(in *Instance, j int, s *rng.Stream) [][]int {
 // current benefit — across dense and CSR layouts, random move walks
 // (allocated and unallocated users), full and restricted candidate
 // lists, exact ties, servers wider than the kernel's stack vector, and
-// the naive and row-budgeted ledgers that keep the loop.
+// the naive ledger that keeps the loop.
 func TestBestResponseMatchesBenefitLoop(t *testing.T) {
 	wide := func(i int) int { return []int{3, 12, 2, 8, 9, 1}[i%6] }
 	cases := []struct {
@@ -107,7 +107,6 @@ func TestBestResponseMatchesBenefitLoop(t *testing.T) {
 		sparse, uniform bool
 		channels        func(int) int
 		naive           bool
-		budget          int
 		wantTies        bool
 	}{
 		{name: "dense"},
@@ -116,8 +115,6 @@ func TestBestResponseMatchesBenefitLoop(t *testing.T) {
 		{name: "wide-channels-csr", sparse: true, channels: wide},
 		{name: "uniform-ties", uniform: true, wantTies: true},
 		{name: "naive", naive: true},
-		{name: "budgeted", budget: 3},
-		{name: "budgeted-csr", sparse: true, budget: 2},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,7 +122,6 @@ func TestBestResponseMatchesBenefitLoop(t *testing.T) {
 			s := rng.New(uint64(900 + ci))
 			l := NewLedger(in, NewAllocation(in.M()))
 			l.SetNaiveInterference(tc.naive)
-			l.SetAggRowBudget(tc.budget)
 			fillRandom(in, l, s)
 			ties, checked, unalloc := 0, 0, 0
 			for step := 0; step < 60; step++ {

@@ -3,7 +3,6 @@ package model
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"idde/internal/radio"
 	"idde/internal/units"
@@ -25,19 +24,6 @@ import (
 // reference scan remains available via SetNaiveInterference for
 // differential tests and drift-sensitive debugging; the two differ only
 // in floating-point summation order.
-//
-// # Aggregate-row memory
-//
-// Rows live in a per-ledger span arena (see spanArena): the srcOff and
-// vals slices of every row are views carved out of shared backing
-// slabs, and evicted rows return their spans to a free list for exact
-// reuse. SetAggRowBudget additionally bounds how many rows are resident
-// at once: non-resident receivers are served by a per-cell fold that
-// reproduces the row arithmetic bit for bit (see interCellFold), so the
-// budget trades wall-clock for memory without perturbing a single
-// result. Which rows happen to be resident depends on scheduling under
-// concurrent scans, but never the values — every evaluator answer is
-// identical across budgets, including 0 (unlimited).
 type Ledger struct {
 	in    *Instance
 	alloc Allocation
@@ -50,45 +36,12 @@ type Ledger struct {
 	// vals[srcOff[o]+x] = Σ_{t∈users[o][x]} Gain[i][t]·p_t, restricted
 	// to sources o that co-cover a user with i — the only sources the
 	// Eq. 2 Coverage walk can pair with receiver i. Rows are published
-	// atomically so concurrent best-response scans may fault them in;
-	// Move (single-writer by the Adapter contract) updates only rows
-	// that exist.
+	// atomically so concurrent best-response scans may build them;
+	// aggMu serializes the builds. A built row is never evicted (only
+	// SetNaiveInterference drops rows), and Move — single-writer by the
+	// Adapter contract — keeps it current.
 	agg   []atomic.Pointer[aggRowData]
 	aggMu sync.Mutex
-	// srcSets[i] caches receiver i's co-covering source set as a bitset
-	// with the total channel width. It is profile-independent, built at
-	// the first row build and kept across evictions, so a rebuild costs
-	// O(N + width·occupancy) instead of re-deriving co-coverage from
-	// the Covered/Coverage lists (O(|Covered[i]|·|V_j|)).
-	srcSets []atomic.Pointer[aggSrcSet]
-
-	// arenaVals/arenaOffs back the row spans; rowPool recycles the row
-	// headers. All three are guarded by aggMu.
-	arenaVals spanArena[float64]
-	arenaOffs spanArena[int32]
-	rowPool   []*aggRowData
-
-	// aggBudget caps resident rows (0 = unlimited). aggResident tracks
-	// the count; aggClock is the second-chance eviction hand; aggTouch
-	// counts row misses per receiver for the promotion threshold;
-	// aggGrace holds evicted rows whose spans are recycled only at the
-	// next Move — a quiescent point by the Adapter contract — so
-	// concurrent readers holding an evicted row keep reading intact
-	// (and, between Moves, still current) values.
-	aggBudget    int
-	aggResident  atomic.Int32
-	aggClock     int
-	aggTouch     []atomic.Uint32
-	aggGrace     []*aggRowData
-	aggEvictions int64
-	aggFallbacks atomic.Int64
-
-	// everBuilt/everRows/everWidth record which receivers ever had a
-	// row, for the dense-equivalent accounting of AggMemStats.
-	everBuilt   []bool
-	everRows    int
-	everWidth   int64
-	srcSetBytes int64
 
 	// naive switches interCell to the O(occupancy) reference scan.
 	naive bool
@@ -97,13 +50,11 @@ type Ledger struct {
 // NewLedger builds a ledger over a copy of the given profile.
 func NewLedger(in *Instance, alloc Allocation) *Ledger {
 	l := &Ledger{
-		in:        in,
-		alloc:     alloc.Clone(),
-		users:     make([][][]int, in.N()),
-		power:     make([][]units.Watts, in.N()),
-		agg:       make([]atomic.Pointer[aggRowData], in.N()),
-		srcSets:   make([]atomic.Pointer[aggSrcSet], in.N()),
-		everBuilt: make([]bool, in.N()),
+		in:    in,
+		alloc: alloc.Clone(),
+		users: make([][][]int, in.N()),
+		power: make([][]units.Watts, in.N()),
+		agg:   make([]atomic.Pointer[aggRowData], in.N()),
 	}
 	for i := 0; i < in.N(); i++ {
 		c := in.Top.Servers[i].Channels
@@ -129,40 +80,10 @@ func NewLedger(in *Instance, alloc Allocation) *Ledger {
 func (l *Ledger) SetNaiveInterference(on bool) {
 	l.naive = on
 	// Built rows go stale while the naive path runs (Move stops
-	// maintaining them); release them so re-enabling rebuilds from
-	// scratch out of the recycled spans.
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
+	// maintaining them); drop them so re-enabling rebuilds from scratch.
 	for i := range l.agg {
-		if d := l.agg[i].Load(); d != nil {
-			l.agg[i].Store(nil)
-			l.aggResident.Add(-1)
-			l.aggGrace = append(l.aggGrace, d)
-		}
+		l.agg[i].Store(nil)
 	}
-	l.drainGraceLocked()
-}
-
-// SetAggRowBudget bounds how many aggregate rows may be resident at
-// once (0 = unlimited, the default). Evaluations against non-resident
-// receivers fall back to a bit-identical per-cell fold, so every result
-// is unchanged; only memory and wall-clock trade places. Must be called
-// while no concurrent evaluations are in flight (setup time, or between
-// game rounds).
-func (l *Ledger) SetAggRowBudget(rows int) {
-	if rows < 0 {
-		rows = 0
-	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	l.aggBudget = rows
-	if rows > 0 && l.aggTouch == nil {
-		l.aggTouch = make([]atomic.Uint32, l.in.N())
-	}
-	for rows > 0 && int(l.aggResident.Load()) > rows {
-		l.evictLocked()
-	}
-	l.drainGraceLocked()
 }
 
 // Alloc returns a snapshot of the current profile.
@@ -177,17 +98,11 @@ func (l *Ledger) Occupancy(i, x int) int { return len(l.users[i][x]) }
 // Move reassigns user j to decision a (possibly Unallocated),
 // maintaining the channel registries and any built aggregate rows in
 // O(built receivers). Move must not race with concurrent evaluations
-// (the game engine serializes Apply) — which also makes it the
-// quiescent point where evicted rows' spans are safe to recycle.
+// (the game engine serializes Apply).
 func (l *Ledger) Move(j int, a Alloc) {
 	cur := l.alloc[j]
 	if cur == a {
 		return
-	}
-	if len(l.aggGrace) > 0 {
-		l.aggMu.Lock()
-		l.drainGraceLocked()
-		l.aggMu.Unlock()
 	}
 	if cur.Allocated() {
 		l.remove(j, cur)
@@ -201,9 +116,7 @@ func (l *Ledger) Move(j int, a Alloc) {
 }
 
 // aggRowData is one receiver's aggregate row, restricted to the sources
-// that can ever be paired with it by the Eq. 2 Coverage walk. Both
-// slices are spans into the ledger's arena, released to its free list
-// on eviction.
+// that can ever be paired with it by the Eq. 2 Coverage walk.
 type aggRowData struct {
 	// srcOff[o] is the offset of source o's channel block in vals, or
 	// -1 when o never co-covers a user with the receiver. Such cells
@@ -211,23 +124,7 @@ type aggRowData struct {
 	// interCell serves with a single-cell reference walk instead.
 	srcOff []int32
 	vals   []float64
-	// ref is the second-chance bit read by the eviction clock; readers
-	// set it on row hits while a budget is active.
-	ref atomic.Bool
 }
-
-// aggRowHeaderBytes sizes one row header for the AggMemStats
-// accounting.
-var aggRowHeaderBytes = int64(unsafe.Sizeof(aggRowData{}))
-
-// aggSrcSet is a receiver's co-covering source set (one bit per source)
-// plus the total channel width of those sources.
-type aggSrcSet struct {
-	bits  []uint64
-	width int32
-}
-
-func (s *aggSrcSet) has(o int) bool { return s.bits[o>>6]&(1<<(uint(o)&63)) != 0 }
 
 // aggMove folds user j's contribution Gain[i][j]·p_j out of (from) and
 // into (to) every built receiver row. Cells outside a row's co-covering
@@ -272,56 +169,45 @@ func (l *Ledger) aggMove(j int, from, to Alloc) {
 	}
 }
 
-// srcSetLocked returns receiver i's co-covering source set, deriving it
-// on first use: the union of Coverage[j] across users j that server i
-// covers. Caller holds aggMu.
-func (l *Ledger) srcSetLocked(i int) *aggSrcSet {
-	if ss := l.srcSets[i].Load(); ss != nil {
-		return ss
+// aggRow returns the receiver-i aggregate row, building it on first use.
+// Safe for concurrent callers between Moves.
+func (l *Ledger) aggRow(i int) *aggRowData {
+	if d := l.agg[i].Load(); d != nil {
+		return d
 	}
-	ss := &aggSrcSet{bits: make([]uint64, (l.in.N()+63)/64)}
-	for _, j := range l.in.Top.Covered[i] {
-		for _, o := range l.in.Top.Coverage[j] {
-			ss.bits[o>>6] |= 1 << (uint(o) & 63)
-		}
-	}
-	for o := 0; o < l.in.N(); o++ {
-		if ss.has(o) {
-			ss.width += int32(l.in.Top.Servers[o].Channels)
-		}
-	}
-	l.srcSetBytes += int64(len(ss.bits) * 8)
-	l.srcSets[i].Store(ss)
-	return ss
+	return l.buildRow(i)
 }
 
-// buildRowLocked materializes receiver i's row out of the arena,
-// filling every cell with the left-to-right fold over the current
-// occupant lists (the aggMove invariant), so a rebuild after eviction
-// is bit-identical to a row that was maintained all along. Caller holds
-// aggMu.
-func (l *Ledger) buildRowLocked(i int) *aggRowData {
-	ss := l.srcSetLocked(i)
-	var d *aggRowData
-	if n := len(l.rowPool); n > 0 {
-		d = l.rowPool[n-1]
-		l.rowPool[n-1] = nil
-		l.rowPool = l.rowPool[:n-1]
-		d.ref.Store(false)
-	} else {
-		d = &aggRowData{}
+// buildRow materializes receiver i's row under aggMu, unless a
+// concurrent caller built it first. Its sources are the union of
+// Coverage[j] across the users j that server i covers, laid out in
+// ascending source order; every cell holds the left-to-right fold over
+// the current occupant lists (the aggMove invariant), so a rebuilt row
+// is bit-identical to one that was maintained all along.
+func (l *Ledger) buildRow(i int) *aggRowData {
+	l.aggMu.Lock()
+	defer l.aggMu.Unlock()
+	if d := l.agg[i].Load(); d != nil {
+		return d
 	}
-	d.srcOff = l.arenaOffs.alloc(l.in.N())
-	d.vals = l.arenaVals.alloc(int(ss.width))
-	var off int32
+	d := &aggRowData{srcOff: make([]int32, l.in.N())}
 	for o := range d.srcOff {
-		if !ss.has(o) {
-			d.srcOff[o] = -1
+		d.srcOff[o] = -1
+	}
+	for _, j := range l.in.Top.Covered[i] {
+		for _, o := range l.in.Top.Coverage[j] {
+			d.srcOff[o] = 0
+		}
+	}
+	var width int32
+	for o, off := range d.srcOff {
+		if off < 0 {
 			continue
 		}
-		d.srcOff[o] = off
-		off += int32(l.in.Top.Servers[o].Channels)
+		d.srcOff[o] = width
+		width += int32(l.in.Top.Servers[o].Channels)
 	}
+	d.vals = make([]float64, width)
 	gi := l.in.GainRow(i)
 	for o := range l.users {
 		off := d.srcOff[o]
@@ -336,96 +222,8 @@ func (l *Ledger) buildRowLocked(i int) *aggRowData {
 			d.vals[int(off)+x] = sum
 		}
 	}
-	if !l.everBuilt[i] {
-		l.everBuilt[i] = true
-		l.everRows++
-		l.everWidth += int64(ss.width)
-	}
-	l.aggResident.Add(1)
 	l.agg[i].Store(d)
 	return d
-}
-
-// evictLocked detaches one resident row, chosen by a second-chance
-// clock over the receiver indices, onto the grace list. The spans are
-// recycled at the next Move, never immediately: a concurrent reader
-// that loaded the row before the eviction keeps reading intact — and,
-// since no Move has intervened, still current — values. Caller holds
-// aggMu.
-func (l *Ledger) evictLocked() {
-	n := len(l.agg)
-	for scanned := 0; scanned < 2*n; scanned++ {
-		i := l.aggClock
-		if l.aggClock++; l.aggClock == n {
-			l.aggClock = 0
-		}
-		d := l.agg[i].Load()
-		if d == nil {
-			continue
-		}
-		if d.ref.Load() {
-			d.ref.Store(false)
-			continue
-		}
-		l.agg[i].Store(nil)
-		l.aggResident.Add(-1)
-		l.aggEvictions++
-		l.aggGrace = append(l.aggGrace, d)
-		return
-	}
-}
-
-// drainGraceLocked releases evicted rows' spans back to the arena and
-// their headers to the pool. Only called at quiescent points (Move,
-// SetNaiveInterference, SetAggRowBudget). Caller holds aggMu.
-func (l *Ledger) drainGraceLocked() {
-	for idx, d := range l.aggGrace {
-		l.arenaOffs.release(d.srcOff)
-		l.arenaVals.release(d.vals)
-		d.srcOff, d.vals = nil, nil
-		l.rowPool = append(l.rowPool, d)
-		l.aggGrace[idx] = nil
-	}
-	l.aggGrace = l.aggGrace[:0]
-}
-
-// aggRow returns the receiver-i aggregate row, building it on first use
-// (and evicting a victim first when the resident budget is exhausted).
-// Safe for concurrent callers between Moves.
-func (l *Ledger) aggRow(i int) *aggRowData {
-	if d := l.agg[i].Load(); d != nil {
-		return d
-	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	if d := l.agg[i].Load(); d != nil {
-		return d
-	}
-	if l.aggBudget > 0 && int(l.aggResident.Load()) >= l.aggBudget {
-		l.evictLocked()
-	}
-	return l.buildRowLocked(i)
-}
-
-// aggPromoteAfter is the miss count at which a non-resident receiver is
-// promoted to a row while the budget is full. Promotion costs a rebuild
-// plus an eviction, i.e. many fold-fallback evaluations; the threshold
-// keeps a one-off probe from thrashing a hot row out.
-const aggPromoteAfter = 4
-
-// aggFault handles a row miss under an active budget: build immediately
-// while under budget, otherwise count the touch and promote only once
-// the receiver has proven hot. Returns nil when the caller should use
-// the fold fallback.
-func (l *Ledger) aggFault(i int) *aggRowData {
-	if int(l.aggResident.Load()) < l.aggBudget {
-		return l.aggRow(i)
-	}
-	if t := l.aggTouch[i].Add(1); int(t) < aggPromoteAfter {
-		return nil
-	}
-	l.aggTouch[i].Store(0)
-	return l.aggRow(i)
 }
 
 func (l *Ledger) remove(j int, a Alloc) {
@@ -448,29 +246,15 @@ func (l *Ledger) remove(j int, a Alloc) {
 // servers covering user j, under the hypothesis that j itself sits at
 // (i,x) (so j never self-interferes). The default path reads one
 // pre-aggregated sum per covering server — O(|V_j|) — and subtracts j's
-// own contribution where j currently occupies a summed channel. Under a
-// row budget, misses on cold receivers are served by interCellFold
-// instead of faulting the row in.
+// own contribution where j currently occupies a summed channel.
 func (l *Ledger) interCell(j int, a Alloc) units.Watts {
 	if l.naive {
 		return l.interCellNaive(j, a)
 	}
-	d := l.agg[a.Server].Load()
-	if d == nil {
-		if l.aggBudget > 0 {
-			if d = l.aggFault(a.Server); d == nil {
-				return l.interCellFold(j, a)
-			}
-		} else {
-			d = l.aggRow(a.Server)
-		}
-	} else if l.aggBudget > 0 && !d.ref.Load() {
-		d.ref.Store(true)
-	}
-	return l.interCellRow(j, a, d)
+	return l.interCellRow(j, a, l.aggRow(a.Server))
 }
 
-// interCellRow reads the Eq. 2 inter-cell term out of a resident row.
+// interCellRow reads the Eq. 2 inter-cell term out of a built row.
 func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData) units.Watts {
 	cur := l.alloc[j]
 	gr := l.in.GainRow(a.Server)
@@ -505,49 +289,6 @@ func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData) units.Watts {
 	return units.Watts(f)
 }
 
-// interCellFold serves a row miss without materializing the row: each
-// cell the row path would read is recomputed as the same left-to-right
-// fold over users[o][x] that builds (and maintains) row cells, then
-// added to the total — reproducing the row path's arithmetic, including
-// the self-term subtraction, bit for bit. Every o in Coverage[j]
-// co-covers j with a.Server whenever a.Server itself covers j, so the
-// in-coverage case (every probe the game issues) maps one-to-one onto
-// row cells; the off-coverage corner cannot distinguish present from
-// absent cells locally and forces the row in instead.
-func (l *Ledger) interCellFold(j int, a Alloc) units.Watts {
-	inCov := false
-	for _, o := range l.in.Top.Coverage[j] {
-		if o == a.Server {
-			inCov = true
-			break
-		}
-	}
-	if !inCov {
-		return l.interCellRow(j, a, l.aggRow(a.Server))
-	}
-	l.aggFallbacks.Add(1)
-	cur := l.alloc[j]
-	gi := l.in.GainRow(a.Server)
-	var f float64
-	for _, o := range l.in.Top.Coverage[j] {
-		if o == a.Server || a.Channel >= len(l.users[o]) {
-			continue
-		}
-		var sum float64
-		for _, t := range l.users[o][a.Channel] {
-			sum += gi.At(t) * float64(l.in.Top.Users[t].Power)
-		}
-		f += sum
-		if cur.Server == o && cur.Channel == a.Channel {
-			f -= gi.At(j) * float64(l.in.Top.Users[j].Power)
-		}
-	}
-	if f < 0 {
-		f = 0 // guard fp drift from the self-term subtraction
-	}
-	return units.Watts(f)
-}
-
 // interCellNaive is the reference evaluator: walk every co-channel
 // occupant of every covering server (O(|V_j|·occupancy)).
 func (l *Ledger) interCellNaive(j int, a Alloc) units.Watts {
@@ -567,74 +308,35 @@ func (l *Ledger) interCellNaive(j int, a Alloc) units.Watts {
 	return units.Watts(f)
 }
 
-// WarmAggregates builds aggregate rows in ascending receiver order up
-// to the resident budget (all of them when unlimited), so benchmarks
-// and latency-sensitive callers can pay the build cost up front.
+// WarmAggregates builds every aggregate row up front, so benchmarks
+// and latency-sensitive callers pay the build cost before the first
+// evaluation.
 func (l *Ledger) WarmAggregates() {
 	if l.naive {
 		return
 	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
 	for i := range l.agg {
-		if l.aggBudget > 0 && int(l.aggResident.Load()) >= l.aggBudget {
-			break
-		}
-		if l.agg[i].Load() != nil {
-			continue
-		}
-		l.buildRowLocked(i)
+		l.aggRow(i)
 	}
 }
 
-// AggMemStats is a snapshot of the aggregate-row memory accounting.
+// AggMemStats is a snapshot of the aggregate-row memory: how many rows
+// are built and the bytes their srcOff and vals slices hold.
 type AggMemStats struct {
-	// ResidentRows counts rows currently materialized; EverBuiltRows
-	// counts receivers that had a row at any point (the set the
-	// unbounded layout would keep resident).
-	ResidentRows  int
-	EverBuiltRows int
-	// RowBudget echoes SetAggRowBudget (0 = unlimited).
-	RowBudget int
-	// ArenaBytes is the backing-slab footprint (resident spans plus
-	// free-list capacity) including the persistent co-source bitsets
-	// and row headers; InUseBytes narrows to spans owned by resident
-	// rows. DenseEquivBytes is what the unbounded layout would hold for
-	// every ever-built receiver — the baseline the budget is measured
-	// against.
-	ArenaBytes      int64
-	InUseBytes      int64
-	DenseEquivBytes int64
-	// Evictions counts budget-driven row detachments; FallbackEvals
-	// counts interference evaluations served by the fold fallback.
-	Evictions     int64
-	FallbackEvals int64
+	Rows  int
+	Bytes int64
 }
 
-// AggMemStats reports the aggregate-row memory accounting. It must be
-// called at a quiescent point (no concurrent evaluations): like Move,
-// it first recycles the spans of evicted rows parked on the grace list,
-// so the snapshot reflects what actually stays resident rather than
-// eviction churn awaiting its next quiescent point.
+// AggMemStats walks the built aggregate rows.
 func (l *Ledger) AggMemStats() AggMemStats {
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	l.drainGraceLocked()
-	resident := int(l.aggResident.Load())
-	headers := int64(resident + len(l.aggGrace) + len(l.rowPool))
-	return AggMemStats{
-		ResidentRows:  resident,
-		EverBuiltRows: l.everRows,
-		RowBudget:     l.aggBudget,
-		ArenaBytes: int64(l.arenaVals.total)*8 + int64(l.arenaOffs.total)*4 +
-			l.srcSetBytes + headers*aggRowHeaderBytes,
-		InUseBytes: int64(l.arenaVals.inUse)*8 + int64(l.arenaOffs.inUse)*4 +
-			l.srcSetBytes + int64(resident)*aggRowHeaderBytes,
-		DenseEquivBytes: int64(l.everRows)*(int64(4*l.in.N())+aggRowHeaderBytes) +
-			8*l.everWidth,
-		Evictions:     l.aggEvictions,
-		FallbackEvals: l.aggFallbacks.Load(),
+	var st AggMemStats
+	for i := range l.agg {
+		if d := l.agg[i].Load(); d != nil {
+			st.Rows++
+			st.Bytes += int64(4*len(d.srcOff) + 8*len(d.vals))
+		}
 	}
+	return st
 }
 
 // intraOther computes Σ_{u_t∈U_{i,x}\u_j} p_t under the hypothesis that
@@ -722,7 +424,7 @@ const bestRespChannels = 8
 // decision wins ties, then the earliest (server, channel) — together
 // with its benefit and the benefit of the current decision. The result
 // is bit-identical to calling Benefit per candidate: that loop is the
-// path naive and row-budgeted ledgers take, while the default ledger
+// path the naive ledger takes, while the default ledger
 // runs a fused kernel that loads each candidate server's aggregate row
 // and g_{i,j} once and folds the inter-cell term of all its channels in
 // one walk over Coverage[j]. Safe for concurrent callers between Moves.
@@ -730,7 +432,7 @@ func (l *Ledger) BestResponse(j int, cands []int) (best Alloc, bestB, curB float
 	cur := l.alloc[j]
 	curB = l.Benefit(j, cur)
 	best, bestB = cur, curB
-	fused := !l.naive && l.aggBudget == 0
+	fused := !l.naive
 	for _, i := range cands {
 		c := len(l.power[i])
 		if fused && c <= bestRespChannels {
@@ -758,10 +460,7 @@ func (l *Ledger) BestResponse(j int, cands []int) (best Alloc, bestB, curB float
 // j's own source cell — and the same f<0 clamp, so every score equals
 // Benefit(j, {i, x}) bit for bit.
 func (l *Ledger) bestOnServer(j, i int, cur, best Alloc, bestB float64) (Alloc, float64) {
-	d := l.agg[i].Load()
-	if d == nil {
-		d = l.aggRow(i)
-	}
+	d := l.aggRow(i)
 	gr := l.in.GainRow(i)
 	g := gr.At(j)
 	pj := float64(l.in.Top.Users[j].Power)

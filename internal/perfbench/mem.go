@@ -18,8 +18,8 @@ import (
 
 // This file is the memory/allocation dimension of the tracked baseline
 // (BENCH_mem.json): it measures the resident footprint of the Phase 1
-// interference aggregate rows with and without a row budget, the heap
-// allocations of a full Phase 2 solve, the CSR gain-layout footprint on the region-scaled instance
+// interference aggregate rows, the heap allocations of a full Phase 2
+// solve, the CSR gain-layout footprint on the region-scaled instance
 // ladder (with a sparse-vs-dense full-solve differential), and pins the
 // guarded hot paths — Ledger benefit evaluation, DeliveryOracle.GainOf
 // and the sparse GainRow reads — at zero steady-state allocations via
@@ -60,44 +60,21 @@ func InstanceScales() []experiment.Params {
 // the bench-smoke.
 const MinInstanceBytesReduction = 5.0
 
-// memRowBudget is the tracked resident-row budget at receiver count n:
-// an eighth of the fleet, the regime the ROADMAP names for N≥1000
-// (rows are O(N·ΣK) per receiver; bounding residency caps the
-// quadratic term while the fold fallback keeps results bit-identical).
-// A resident row costs what a dense row costs, so the reduction tracks
-// everRows/budget minus the persistent co-source bitset overhead —
-// n/8 lands ~7× at N=1000.
-func memRowBudget(n int) int {
-	b := n / 8
-	if b < 8 {
-		b = 8
-	}
-	return b
-}
-
 // MemRecord is one measured memory configuration.
 type MemRecord struct {
-	// Name identifies the record, e.g. "AggRows/budget" or
+	// Name identifies the record, e.g. "AggRows" or
 	// "SolveDelivery/optimized".
 	Name string `json:"name"`
 	N    int    `json:"n"`
 	M    int    `json:"m"`
 	K    int    `json:"k,omitempty"`
-	// Budget is the aggregate-row budget in force (0 = unlimited).
-	Budget int `json:"budget,omitempty"`
 	// Aggregate-row accounting (AggRows records), from
 	// model.Ledger.AggMemStats after a fill + warm + probe-sweep
 	// workload.
-	ResidentRows    int   `json:"resident_rows,omitempty"`
-	EverBuiltRows   int   `json:"ever_built_rows,omitempty"`
-	ResidentBytes   int64 `json:"resident_bytes,omitempty"`
-	ArenaBytes      int64 `json:"arena_bytes,omitempty"`
-	DenseEquivBytes int64 `json:"dense_equiv_bytes,omitempty"`
-	Evictions       int64 `json:"evictions,omitempty"`
-	FallbackEvals   int64 `json:"fallback_evals,omitempty"`
-	// NsPerOp times one Benefit probe (AggRows records: the price of
-	// budget-driven faults and fold fallbacks versus warm rows) or one
-	// full Phase 2 solve.
+	ResidentRows  int   `json:"resident_rows,omitempty"`
+	ResidentBytes int64 `json:"resident_bytes,omitempty"`
+	// NsPerOp times one Benefit probe against warm rows (AggRows
+	// records) or one full Phase 2 solve.
 	NsPerOp float64 `json:"ns_per_op,omitempty"`
 	// Heap cost per operation (SolveDelivery records).
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
@@ -107,11 +84,12 @@ type MemRecord struct {
 	// model.Instance.LayoutStats on the region-scaled ladder; NsPerOp
 	// times the full topology+workload+CSR build there, and
 	// DenseEquivBytes is what the dense era held for the same instance.
-	SparseLayout bool    `json:"sparse_layout,omitempty"`
-	CutoffMeters float64 `json:"cutoff_meters,omitempty"`
-	NNZ          int64   `json:"nnz,omitempty"`
-	GainDensity  float64 `json:"gain_density,omitempty"`
-	LayoutBytes  int64   `json:"layout_bytes,omitempty"`
+	SparseLayout    bool    `json:"sparse_layout,omitempty"`
+	CutoffMeters    float64 `json:"cutoff_meters,omitempty"`
+	NNZ             int64   `json:"nnz,omitempty"`
+	GainDensity     float64 `json:"gain_density,omitempty"`
+	LayoutBytes     int64   `json:"layout_bytes,omitempty"`
+	DenseEquivBytes int64   `json:"dense_equiv_bytes,omitempty"`
 }
 
 // MemReport is the BENCH_mem.json schema.
@@ -127,12 +105,11 @@ type MemReport struct {
 	// steady-state paths; the CI bench-smoke fails when any entry is
 	// above zero.
 	HotPathAllocs map[string]float64 `json:"hot_path_allocs"`
-	// Reductions maps "AggResidentBytes/N=<n>" to the unbounded dense
-	// footprint over the budgeted resident bytes,
-	// "SolveDeliveryAllocs/M=4000" to the previous baseline's
-	// allocs-per-solve (PrevSolveAllocsM4000) over the current count,
-	// and "InstanceBytes/M=<m>" to the dense-era gain+distance footprint
-	// over the CSR layout's bytes at each InstanceScales rung.
+	// Reductions maps "SolveDeliveryAllocs/M=4000" to the previous
+	// baseline's allocs-per-solve (PrevSolveAllocsM4000) over the
+	// current count, and "InstanceBytes/M=<m>" to the dense-era
+	// gain+distance footprint over the CSR layout's bytes at each
+	// InstanceScales rung.
 	Reductions map[string]float64 `json:"reductions"`
 	// SparseDenseIdentical maps "M=<m>/<variant>" to whether a full
 	// solve on the CSR layout committed the exact strategy of the dense
@@ -185,11 +162,8 @@ func RunMem(budget time.Duration, seed uint64, maxN, maxM, instMaxM int, logf fu
 		SparseDenseIdentical: map[string]bool{},
 	}
 
-	// Aggregate-row residency: for each N, run the same workload — fill
-	// a random profile, warm the rows, sweep Benefit probes — once
-	// unbounded (the pre-budget behaviour: every ever-probed receiver
-	// stays resident) and once under the tracked budget (faults,
-	// second-chance evictions and fold fallbacks engaged).
+	// Aggregate-row residency: for each N, fill a random profile, warm
+	// every row and sweep Benefit probes against them.
 	const probeBatch = 8192
 	for _, n := range MemScaleNs() {
 		if maxN > 0 && n > maxN {
@@ -201,47 +175,23 @@ func RunMem(budget time.Duration, seed uint64, maxN, maxM, instMaxM int, logf fu
 		if err != nil {
 			return nil, fmt.Errorf("build instance %v: %w", p, err)
 		}
-		var unbounded model.AggMemStats
-		for _, b := range []int{0, memRowBudget(n)} {
-			name := "AggRows/unbounded"
-			if b > 0 {
-				name = "AggRows/budget"
-			}
-			s := rng.New(seed * 77)
-			l := model.NewLedger(in, model.NewAllocation(in.M()))
-			if b > 0 {
-				l.SetAggRowBudget(b)
-			}
-			memFill(in, l, s)
-			l.WarmAggregates()
-			js, as := benefitProbes(in, s, probeBatch)
-			start := time.Now()
-			for bi := range js {
-				_ = l.Benefit(js[bi], as[bi])
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / probeBatch
-			st := l.AggMemStats()
-			if b == 0 {
-				unbounded = st
-			}
-			rep.Records = append(rep.Records, MemRecord{
-				Name: name, N: p.N, M: p.M, K: p.K, Budget: b,
-				ResidentRows: st.ResidentRows, EverBuiltRows: st.EverBuiltRows,
-				ResidentBytes: st.InUseBytes, ArenaBytes: st.ArenaBytes,
-				DenseEquivBytes: st.DenseEquivBytes,
-				Evictions:       st.Evictions, FallbackEvals: st.FallbackEvals,
-				NsPerOp: ns,
-			})
-			logf("%-28s N=%-5d budget=%-5d resident=%d/%d  %.2f MB (dense-equiv %.2f MB)  %.0f ns/probe",
-				name, n, b, st.ResidentRows, st.EverBuiltRows,
-				float64(st.InUseBytes)/1e6, float64(st.DenseEquivBytes)/1e6, ns)
-			if b > 0 && st.InUseBytes > 0 {
-				// The headline: what the unbounded layout holds for the
-				// same workload over what stays resident under budget.
-				rep.Reductions[fmt.Sprintf("AggResidentBytes/N=%d", n)] =
-					float64(unbounded.DenseEquivBytes) / float64(st.InUseBytes)
-			}
+		s := rng.New(seed * 77)
+		l := model.NewLedger(in, model.NewAllocation(in.M()))
+		memFill(in, l, s)
+		l.WarmAggregates()
+		js, as := benefitProbes(in, s, probeBatch)
+		start := time.Now()
+		for bi := range js {
+			_ = l.Benefit(js[bi], as[bi])
 		}
+		ns := float64(time.Since(start).Nanoseconds()) / probeBatch
+		st := l.AggMemStats()
+		rep.Records = append(rep.Records, MemRecord{
+			Name: "AggRows", N: p.N, M: p.M, K: p.K,
+			ResidentRows: st.Rows, ResidentBytes: st.Bytes, NsPerOp: ns,
+		})
+		logf("%-28s N=%-5d resident=%d  %.2f MB  %.0f ns/probe",
+			"AggRows", n, st.Rows, float64(st.Bytes)/1e6, ns)
 	}
 
 	// Phase 2 solve allocations against the previous baseline's

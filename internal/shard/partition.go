@@ -1,7 +1,7 @@
 // Package shard partitions an IDDE instance into coverage-connected
 // spatial tiles and solves both phases per tile — Phase 1 dirty-set
 // best-response and Phase 2 CELF on each tile's own worker, ledger,
-// arena rows and tracer shard — followed by a bounded deterministic
+// aggregate rows and tracer shard — followed by a bounded deterministic
 // halo-exchange stage that re-equilibrates cross-tile interference and
 // a final global CELF reconcile pass for boundary replicas.
 //

@@ -61,10 +61,6 @@ type Config struct {
 	NaiveGreedy       bool
 	NaiveInterference bool
 	NaiveLatency      bool
-	// AggRowBudget is the per-tile ledger aggregate-row budget (0 =
-	// unlimited). Each tile owns its own arena and budget, so total
-	// resident rows scale with tiles × budget.
-	AggRowBudget int
 
 	// Obs receives the solver telemetry. When a tracer is attached,
 	// tile workers emit into per-worker tracer shards that are merged
@@ -144,15 +140,12 @@ func (c Config) TileStream(t int) *rng.Stream {
 }
 
 // newLedger builds a ledger over view (the full instance or a tile
-// view) with the configured Phase 1 evaluator and row budget; the tile
-// games and the halo exchange both start from it.
+// view) with the configured Phase 1 evaluator; the tile games and the
+// halo exchange both start from it.
 func (c Config) newLedger(view *model.Instance, alloc model.Allocation) *model.Ledger {
 	l := model.NewLedger(view, alloc)
 	if c.NaiveInterference {
 		l.SetNaiveInterference(true)
-	}
-	if c.AggRowBudget > 0 {
-		l.SetAggRowBudget(c.AggRowBudget)
 	}
 	return l
 }
@@ -415,7 +408,7 @@ func Solve(in *model.Instance, cfg Config) *Result {
 			}
 		}
 		haloLedger = cfg.newLedger(in, merged)
-		ledgers = nil // tile ledgers (arenas, rows) are dead: release
+		ledgers = nil // tile ledgers and their rows are dead: release
 		res.Stats.HaloConverged = runExchange(in, p, haloLedger, restricted, cfg, sc, &res.Stats)
 	}
 	res.SweepTime = time.Since(t1)

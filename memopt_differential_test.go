@@ -13,10 +13,9 @@ import (
 )
 
 // The end-to-end differential suite for the large-N memory work: the
-// bounded aggregate-row ledger, the O(cohorts) Phase 2 oracle and the
-// worker-pool scans must all reproduce the unbounded single-core
-// results exactly — not approximately — across allocation, replica
-// sequence and every reported stat.
+// O(cohorts) Phase 2 oracle and the worker-pool scans must reproduce the
+// reference single-core results exactly — not approximately — across
+// allocation, replica sequence and every reported stat.
 
 // deepenBudgets raises every server's storage capacity to at least
 // eight mean item sizes, the regime where the greedy loop commits many
@@ -112,46 +111,12 @@ func TestSolveGomaxprocsInvariance(t *testing.T) {
 	}
 }
 
-// TestSolveAggRowBudgetMatchesUnbounded pins the bounded-residency
-// ledger: capping the resident aggregate rows — all the way down to a
-// single row, where almost every evaluation takes the fold fallback or
-// a fault-triggered rebuild — must leave the equilibrium allocation and
-// the game stats exactly identical to the unbounded ledger, because
-// both the fallback and rebuilt rows replay the same left-to-right
-// fold the maintained rows hold.
-func TestSolveAggRowBudgetMatchesUnbounded(t *testing.T) {
-	for _, p := range []experiment.Params{
-		{N: 12, M: 90, K: 5, Density: 1.0},
-		{N: 25, M: 260, K: 5, Density: 1.0},
-	} {
-		in, err := experiment.BuildInstance(p, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseAlloc, baseStats := core.SolvePhase1(in, core.DefaultOptions())
-		for _, budget := range []int{1, 3, p.N / 4, p.N / 2} {
-			if budget < 1 {
-				continue
-			}
-			opt := core.DefaultOptions()
-			opt.AggRowBudget = budget
-			alloc, stats := core.SolvePhase1(in, opt)
-			if !reflect.DeepEqual(alloc, baseAlloc) {
-				t.Fatalf("%v budget=%d: equilibrium allocation diverges from unbounded", p, budget)
-			}
-			if stats != baseStats {
-				t.Fatalf("%v budget=%d: game stats diverge: %+v vs %+v", p, budget, stats, baseStats)
-			}
-		}
-	}
-}
-
-// TestSolveAggRowBudgetEndToEnd runs the full two-phase solve under a
-// tight row budget and checks the complete result fingerprint against
-// an unbounded solve whose Phase 2 is the reference (LatencyState
-// oracle + literal re-scan) — Phase 1 feeds Phase 2, so any
-// budget-induced drift would surface in the delivery profile too.
-func TestSolveAggRowBudgetEndToEnd(t *testing.T) {
+// TestSolveMatchesPhase2ReferenceEndToEnd runs the full two-phase solve
+// and checks the complete result fingerprint against a solve whose
+// Phase 2 is the reference (LatencyState oracle + literal re-scan) —
+// Phase 1 feeds Phase 2, so any drift would surface in the delivery
+// profile too.
+func TestSolveMatchesPhase2ReferenceEndToEnd(t *testing.T) {
 	in, err := experiment.BuildInstance(experiment.Params{N: 20, M: 200, K: 6, Density: 1.0}, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +124,7 @@ func TestSolveAggRowBudgetEndToEnd(t *testing.T) {
 	ref := core.DefaultOptions()
 	ref.NaiveLatency, ref.NaiveGreedy = true, true
 	base := fingerprint(core.Solve(in, ref))
-	opt := core.DefaultOptions()
-	opt.AggRowBudget = 5
-	got := fingerprint(core.Solve(in, opt))
+	got := fingerprint(core.Solve(in, core.DefaultOptions()))
 	if got.Evaluations >= base.Evaluations {
 		t.Fatalf("CELF with per-item staleness saved no evaluations over the re-scan: %d vs %d",
 			got.Evaluations, base.Evaluations)
@@ -171,6 +134,6 @@ func TestSolveAggRowBudgetEndToEnd(t *testing.T) {
 	// stats, objectives — must match exactly.
 	got.Evaluations = base.Evaluations
 	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("budgeted solve diverges from the reference:\n%+v\nvs\n%+v", got, base)
+		t.Fatalf("solve diverges from the Phase 2 reference:\n%+v\nvs\n%+v", got, base)
 	}
 }

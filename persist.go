@@ -80,9 +80,16 @@ func (sc *Scenario) LoadStrategy(r io.Reader) (*Strategy, error) {
 		Mode:     mode,
 	}
 	for j, a := range in.Alloc {
-		if a != nil {
-			raw.Alloc[j] = model.Alloc{Server: a[0], Channel: a[1]}
+		if a == nil {
+			continue
 		}
+		// Save writes unallocated users only as null, so a negative
+		// server or channel is malformed, not a spelling of
+		// "unallocated" (Check skips entries with a negative server).
+		if a[0] < 0 || a[1] < 0 {
+			return nil, fmt.Errorf("idde: user %d has malformed allocation [%d,%d]", j, a[0], a[1])
+		}
+		raw.Alloc[j] = model.Alloc{Server: a[0], Channel: a[1]}
 	}
 	for _, rep := range in.Replicas {
 		i, k := rep[0], rep[1]

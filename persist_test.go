@@ -2,6 +2,7 @@ package idde
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -98,6 +99,35 @@ func TestLoadStrategyRejectsCorruption(t *testing.T) {
 	}
 	if _, err := other.LoadStrategy(strings.NewReader(save())); err == nil {
 		t.Error("strategy loaded into mismatched scenario")
+	}
+}
+
+// TestLoadStrategyRejectsNegativeAllocation: Save writes unallocated
+// users as null, so a non-null entry with a negative server or channel
+// is malformed and must not load as "unallocated".
+func TestLoadStrategyRejectsNegativeAllocation(t *testing.T) {
+	sc := testScenario(t, 24)
+	st, err := sc.Solve(IDDEG, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range [][2]int{{-5, 3}, {-1, -1}, {0, -2}} {
+		var doc map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["alloc"].([]any)[0] = entry
+		body, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.LoadStrategy(bytes.NewReader(body)); err == nil {
+			t.Errorf("allocation entry %v accepted", entry)
+		}
 	}
 }
 
